@@ -2,12 +2,13 @@
 //! on a single FeFET row so the solver dominates wall-clock time. Three
 //! axes are compared:
 //!
-//! * the full hot path vs. tape-off vs. the legacy full-restamp loop
-//!   (same search, different `HotPath` configuration);
+//! * the full hot path vs. the reference full-restamp configuration
+//!   (`HotPath::legacy()`; same search, same loop);
 //! * fixed vs. adaptive time stepping (the hot path must pay off in both,
 //!   since adaptive runs change `dt` and invalidate cached factors);
-//! * a transient word write, whose long programming pulses are the
-//!   steady-state regime the stamp tapes and LU reuse target.
+//! * a transient word write, hot vs. reference, whose long programming
+//!   pulses are the steady-state regime incremental assembly and LU reuse
+//!   target.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ftcam_cells::{
@@ -37,18 +38,7 @@ fn bench_hotpath_layers(c: &mut Criterion) {
     let timing = SearchTiming::default();
     let mut group = c.benchmark_group("solver_hotpath_search_w16");
     group.sample_size(10);
-    let configs = [
-        ("hot", HotPath::default()),
-        (
-            "tape_off",
-            HotPath {
-                tape: false,
-                ..HotPath::default()
-            },
-        ),
-        ("legacy", HotPath::legacy()),
-    ];
-    for (name, hot_path) in configs {
+    for (name, hot_path) in [("hot", HotPath::default()), ("legacy", HotPath::legacy())] {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || programmed_row(hot_path, &stored),

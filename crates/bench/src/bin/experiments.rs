@@ -19,7 +19,7 @@
 //!                input of the CI perf-smoke gate (`perfcheck`)
 //!   ID           experiment ids (default: all)
 //!                fig2 fig3 table1 fig4 fig5 fig6 fig7 fig8 table2 fig9
-//!                fig10 table3
+//!                fig10 table3 table4 fig11 fig12 fig13 e17
 //! ```
 //!
 //! Execution is fault tolerant: a failing or panicking experiment never
@@ -153,8 +153,7 @@ fn main() -> ExitCode {
                     println!(
                         "_steps: {} accepted / {} rejected / {} halving(s), \
                          {} Newton iteration(s); solver {} factorisation(s) / \
-                         {} substitution(s) ({:.0}% LU bypass), {} baseline reuse(s), \
-                         {} tape replay(s)_",
+                         {} substitution(s) ({:.0}% LU bypass), {} baseline reuse(s)_",
                         s.steps.accepted,
                         s.steps.rejected,
                         s.steps.halvings,
@@ -163,7 +162,6 @@ fn main() -> ExitCode {
                         s.solver.substitutions,
                         s.solver.bypass_rate() * 100.0,
                         s.solver.baseline_reuses,
-                        s.solver.tape_replays,
                     );
                     if !s.recovery.is_clean() {
                         println!(
@@ -215,12 +213,11 @@ fn main() -> ExitCode {
                 let solver = report.total_solver();
                 println!(
                     "_bench: {} written — {:.2} s wall, {} factorisation(s), \
-                     {} LU bypass(es), {} tape replay(s)_",
+                     {} LU bypass(es)_",
                     path.display(),
                     report.total_wall_nanos() as f64 / 1e9,
                     solver.factorizations,
                     solver.lu_bypasses,
-                    solver.tape_replays,
                 );
             }
             Err(e) => {

@@ -8,8 +8,9 @@
 //! Three classes of regression are caught:
 //!
 //! * the hot path silently disabling itself — the fresh report must show
-//!   nonzero tape replays and baseline reuses (a refactor that stops the
-//!   tapes from validating would otherwise only show up as wall-clock);
+//!   nonzero LU bypasses and baseline reuses (a refactor that stops LU
+//!   reuse or incremental assembly from engaging would otherwise only
+//!   show up as wall-clock);
 //! * step-count regressions — accepted transient steps growing more than
 //!   [`TOLERANCE`] over the baseline means stepping or recovery changed;
 //! * factorisation regressions — LU factorisation counts growing more
@@ -59,7 +60,7 @@ fn run(current: &BenchReport, baseline: &BenchReport) -> bool {
     let (cur_steps, base_steps) = (current.total_steps(), baseline.total_steps());
     let (cur_solver, base_solver) = (current.total_solver(), baseline.total_solver());
     let mut ok = true;
-    ok &= check_nonzero("tape replays", cur_solver.tape_replays);
+    ok &= check_nonzero("LU bypasses", cur_solver.lu_bypasses);
     ok &= check_nonzero("baseline reuses", cur_solver.baseline_reuses);
     ok &= check_growth("accepted steps", cur_steps.accepted, base_steps.accepted);
     ok &= check_growth(

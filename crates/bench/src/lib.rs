@@ -27,7 +27,7 @@ pub struct BenchRecord {
     /// Recovery-ladder activity (including dense demotions).
     pub recovery: RecoveryStats,
     /// Solver hot-path counters (factorisations, LU bypasses, baseline
-    /// reuse, tape replays).
+    /// reuse).
     pub solver: SolverPerf,
 }
 

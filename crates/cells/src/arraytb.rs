@@ -231,7 +231,7 @@ impl ArrayTestbench {
     }
 
     /// Cumulative solver hot-path counters (factorisations, LU bypasses,
-    /// tape replays, ...) over every search this testbench has run.
+    /// baseline reuses, ...) over every search this testbench has run.
     pub fn solver_perf(&self) -> SolverPerf {
         self.solver_perf
     }

@@ -297,7 +297,7 @@ impl RowTestbench {
     }
 
     /// Cumulative solver hot-path counters (factorisations, LU bypasses,
-    /// tape replays, ...) over every operation this testbench has run.
+    /// baseline reuses, ...) over every operation this testbench has run.
     pub fn solver_perf(&self) -> SolverPerf {
         self.solver_perf
     }

@@ -1,25 +1,22 @@
 //! Shared Newton–Raphson kernel used by the DC and transient analyses.
 //!
-//! The kernel has two assembly strategies, selected by [`HotPath`]:
+//! There is one loop. Devices are partitioned by [`crate::StampClass`]
+//! into a *static* set (matrix stamp fixed within one time point) and a
+//! *dynamic* set (restamped every iteration). The static set plus the
+//! `gmin` shunts are stamped once per call into a baseline snapshot; each
+//! iteration restores the snapshot and restamps only the dynamic set. The
+//! LU factorisation is reused across iterations (and across calls) where
+//! it is safe: exactly for all-linear circuits, and as guarded
+//! chord-Newton steps for nonlinear ones.
 //!
-//! * **Legacy** — every Newton iteration clears the system and restamps
-//!   every device, then factors and solves. Simple, and the reference
-//!   behaviour the hot path is validated against.
-//! * **Incremental** (default) — devices are partitioned by
-//!   [`crate::StampClass`] into a *static* set (matrix stamp fixed within
-//!   one time point) and a *dynamic* set (restamped every iteration). The
-//!   static set plus the `gmin` shunts are stamped once per call into a
-//!   baseline snapshot; each iteration restores the snapshot and restamps
-//!   only the dynamic set. Both passes run through slot-resolved stamp
-//!   tapes ([`crate::linalg::StampTape`]) so steady-state assembly is
-//!   straight array writes with no hash lookups, and the LU factorisation
-//!   is reused across iterations (and across calls) where it is safe:
-//!   exactly for all-linear circuits, and as guarded chord-Newton steps
-//!   for nonlinear ones.
+//! [`HotPath`] configures the loop. [`HotPath::legacy`] is the reference
+//! behaviour as a configuration: every device is dynamic, every iteration
+//! rebuilds the system from `clear()` (no snapshot is taken or restored)
+//! and factorises afresh.
 
 use crate::circuit::{Circuit, StampPartition};
 use crate::error::CircuitError;
-use crate::linalg::{StampTape, SystemMatrix};
+use crate::linalg::SystemMatrix;
 use crate::probe::SolverPerf;
 use crate::stamp::{IntegrationMethod, StampCtx, StampMode, VarMap};
 
@@ -29,11 +26,12 @@ use crate::stamp::{IntegrationMethod, StampCtx, StampMode, VarMap};
 /// worst case.
 const CHORD_MAX_AGE: u64 = 10;
 
-/// Toggles for the incremental-assembly Newton hot path.
+/// Configuration of the Newton loop's two optimisation layers.
 ///
-/// All three optimisations are on by default; [`HotPath::legacy`] restores
-/// the reference full-restamp/full-factor behaviour. The flags are layered:
-/// `tape` and `lu_reuse` only take effect when `incremental` is on.
+/// Both are on by default; [`HotPath::legacy`] turns both off and gives
+/// the reference full-restamp/full-factor behaviour through the same
+/// loop. The flags are independent: `lu_reuse` without `incremental`
+/// runs the same LU reuse on a full restamp every iteration.
 ///
 /// # Examples
 ///
@@ -47,14 +45,10 @@ const CHORD_MAX_AGE: u64 = 10;
 pub struct HotPath {
     /// Partition devices by [`crate::StampClass`], stamp the static set
     /// once per time point into a baseline snapshot, and restamp only the
-    /// dynamic set each Newton iteration.
+    /// dynamic set each Newton iteration. When off, every device is
+    /// dynamic and every iteration rebuilds the system from `clear()`
+    /// without a snapshot.
     pub incremental: bool,
-    /// Record each assembly pass's `(row, col) → slot` writes into a
-    /// replayable tape, turning steady-state stamping into direct array
-    /// writes (no hash lookups). Replays are coordinate-verified, so a
-    /// pattern change degrades to the hash path instead of corrupting the
-    /// matrix.
-    pub tape: bool,
     /// Reuse the LU factorisation across iterations and calls: exactly
     /// (bit-identical) for all-linear circuits, and as guarded
     /// chord-Newton steps for nonlinear transients.
@@ -65,14 +59,13 @@ impl Default for HotPath {
     fn default() -> Self {
         Self {
             incremental: true,
-            tape: true,
             lu_reuse: true,
         }
     }
 }
 
 impl HotPath {
-    /// All optimisations enabled (same as `Default::default()`).
+    /// Both layers enabled (same as `Default::default()`).
     pub fn new() -> Self {
         Self::default()
     }
@@ -82,7 +75,6 @@ impl HotPath {
     pub fn legacy() -> Self {
         Self {
             incremental: false,
-            tape: false,
             lu_reuse: false,
         }
     }
@@ -212,8 +204,8 @@ struct FactorKey {
 /// reuse and automatic dense fallback) for large ones — see
 /// [`crate::linalg::SystemMatrix`]. Beyond the matrix and vectors this
 /// carries the hot-path state that persists across calls: the
-/// static/dynamic device partition, the two stamp tapes, the baseline
-/// snapshot, and the frozen-factor bookkeeping.
+/// static/dynamic device partition, the baseline snapshot, and the
+/// frozen-factor bookkeeping.
 #[derive(Debug)]
 pub(crate) struct NewtonWorkspace {
     pub matrix: SystemMatrix,
@@ -222,11 +214,10 @@ pub(crate) struct NewtonWorkspace {
     /// Hot-path counters accumulated across every solve through this
     /// workspace; drained by the owning analysis.
     pub perf: SolverPerf,
-    /// Computed from the circuit on first use; a circuit's device list is
-    /// fixed for the lifetime of an analysis (and its workspace).
+    /// Computed from the circuit on first use; a circuit's device list and
+    /// the solver settings are fixed for the lifetime of an analysis (and
+    /// its workspace).
     partition: Option<StampPartition>,
-    static_tape: StampTape,
-    dynamic_tape: StampTape,
     baseline_vals: Vec<f64>,
     baseline_rhs: Vec<f64>,
     scratch: Vec<f64>,
@@ -248,8 +239,6 @@ impl NewtonWorkspace {
             x_new: vec![0.0; n],
             perf: SolverPerf::default(),
             partition: None,
-            static_tape: StampTape::new(),
-            dynamic_tape: StampTape::new(),
             baseline_vals: Vec::new(),
             baseline_rhs: Vec::new(),
             scratch: vec![0.0; n],
@@ -261,10 +250,9 @@ impl NewtonWorkspace {
     }
 }
 
-/// One stamping pass over a subset of devices, optionally recorded into or
-/// replayed from a slot tape. When `gmin` is `Some`, the free-node shunt
-/// diagonals are stamped at the end of the pass (so they land on the tape
-/// too). The caller clears the system before a baseline pass.
+/// One stamping pass over a subset of devices. When `gmin` is `Some`, the
+/// free-node shunt diagonals are stamped at the end of the pass. The caller
+/// clears the system before a baseline pass.
 #[allow(clippy::too_many_arguments)]
 fn assemble_pass(
     circuit: &Circuit,
@@ -278,11 +266,7 @@ fn assemble_pass(
     rhs: &mut [f64],
     indices: &[usize],
     gmin: Option<f64>,
-    use_tape: bool,
-    tape: &mut StampTape,
-    perf: &mut SolverPerf,
 ) {
-    let replaying = use_tape && matrix.begin_tape(std::mem::take(tape));
     {
         let mut ctx = StampCtx {
             mode: StampMode::Assemble { matrix, rhs },
@@ -303,20 +287,9 @@ fn assemble_pass(
             matrix.add(col, col, g);
         }
     }
-    if use_tape {
-        let finished = matrix.end_tape();
-        if replaying {
-            if finished.is_valid() {
-                perf.tape_replays += 1;
-            } else {
-                perf.tape_mismatches += 1;
-            }
-        }
-        *tape = finished;
-    }
 }
 
-/// Damped update + convergence check shared by both solve loops. Damping
+/// Damped update + convergence check of the Newton loop. Damping
 /// only matters for nonlinear devices (it bounds the argument fed to
 /// exponentials); for linear systems the undamped solve is exact.
 /// Returns `(converged, scale)`.
@@ -394,115 +367,9 @@ pub(crate) fn solve(
         // confirms the delta is below tolerance.
         2
     };
-    if settings.hot_path.incremental {
-        solve_incremental(
-            circuit, vars, x, pinned, time, dt, method, settings, ws, nonlinear, max_iters,
-        )
-    } else {
-        solve_legacy(
-            circuit, vars, x, pinned, time, dt, method, settings, ws, nonlinear, max_iters,
-        )
-    }
-}
-
-/// Reference loop: full restamp and full factorisation every iteration.
-#[allow(clippy::too_many_arguments)]
-fn solve_legacy(
-    circuit: &Circuit,
-    vars: &VarMap,
-    x: &mut [f64],
-    pinned: &[f64],
-    time: f64,
-    dt: Option<f64>,
-    method: IntegrationMethod,
-    settings: &NewtonSettings,
-    ws: &mut NewtonWorkspace,
-    nonlinear: bool,
-    max_iters: usize,
-) -> Result<usize, CircuitError> {
-    for iter in 0..max_iters {
-        ws.matrix.clear();
-        ws.rhs.fill(0.0);
-        {
-            let mut ctx = StampCtx {
-                mode: StampMode::Assemble {
-                    matrix: &mut ws.matrix,
-                    rhs: &mut ws.rhs,
-                },
-                vars,
-                x,
-                pinned,
-                time,
-                dt,
-                method,
-            };
-            for dev in &circuit.devices {
-                dev.stamp(&mut ctx);
-            }
-        }
-        // gmin shunt on free node diagonals keeps floating nodes solvable.
-        for col in 0..vars.n_free {
-            ws.matrix.add(col, col, settings.gmin);
-        }
-        ws.x_new.copy_from_slice(&ws.rhs);
-        ws.matrix.factor()?;
-        ws.matrix.substitute(&mut ws.x_new);
-        ws.perf.factorizations += 1;
-        ws.perf.substitutions += 1;
-        #[cfg(feature = "fault-injection")]
-        if let Some(plan) = &settings.fault {
-            if plan.injects_nan(time, dt) {
-                ws.x_new[0] = f64::NAN;
-            }
-        }
-        // A NaN/Inf in the update means a poisoned stamp or an overflowed
-        // companion model; iterating further only launders the garbage
-        // through the damped update, so fail structurally right here.
-        if ws.x_new.iter().any(|v| !v.is_finite()) {
-            return Err(CircuitError::NonFiniteSolution {
-                time,
-                iteration: iter,
-            });
-        }
-        let (converged, scale) = damped_update(nonlinear, vars, settings, x, &ws.x_new);
-        if converged && (scale == 1.0) && iter > 0 {
-            return Ok(iter + 1);
-        }
-        // Linear circuits: solution after first full (unscaled) update is
-        // exact; accept immediately to save a reassembly.
-        if !nonlinear && scale == 1.0 {
-            return Ok(iter + 1);
-        }
-    }
-    Err(CircuitError::NewtonDiverged {
-        time,
-        iterations: max_iters,
-    })
-}
-
-/// Incremental-assembly hot path: baseline snapshot of the static set,
-/// per-iteration dynamic restamp, tape-accelerated stamping, and LU reuse
-/// (exact for all-linear circuits, guarded chord steps for nonlinear
-/// transients).
-#[allow(clippy::too_many_arguments)]
-fn solve_incremental(
-    circuit: &Circuit,
-    vars: &VarMap,
-    x: &mut [f64],
-    pinned: &[f64],
-    time: f64,
-    dt: Option<f64>,
-    method: IntegrationMethod,
-    settings: &NewtonSettings,
-    ws: &mut NewtonWorkspace,
-    nonlinear: bool,
-    max_iters: usize,
-) -> Result<usize, CircuitError> {
-    let n = vars.n_unknowns();
     let hp = settings.hot_path;
-    if ws.partition.is_none() {
-        ws.partition = Some(circuit.stamp_partition());
-    }
+    ws.partition
+        .get_or_insert_with(|| circuit.stamp_partition(hp.incremental));
     // Destructure so the borrow checker sees the disjoint fields.
     let NewtonWorkspace {
         matrix,
@@ -510,8 +377,6 @@ fn solve_incremental(
         x_new,
         perf,
         partition,
-        static_tape,
-        dynamic_tape,
         baseline_vals,
         baseline_rhs,
         scratch,
@@ -526,10 +391,12 @@ fn solve_incremental(
     *prev_delta = f64::INFINITY;
     // Epoch the current baseline snapshot was taken at; a mismatch (sparse
     // growth or dense demotion, including mid-call) forces a rebuild, since
-    // slot order — and therefore the snapshot layout — changed.
+    // slot order — and therefore the snapshot layout — changed. The
+    // reference configuration rebuilds from `clear()` every iteration and
+    // never takes or restores a snapshot.
     let mut baseline_epoch: Option<u64> = None;
     for iter in 0..max_iters {
-        if baseline_epoch != Some(matrix.epoch()) {
+        if !hp.incremental || baseline_epoch != Some(matrix.epoch()) {
             matrix.clear();
             rhs.fill(0.0);
             assemble_pass(
@@ -544,16 +411,15 @@ fn solve_incremental(
                 rhs,
                 &part.static_devices,
                 Some(settings.gmin),
-                hp.tape,
-                static_tape,
-                perf,
             );
-            baseline_vals.clear();
-            baseline_vals.extend_from_slice(matrix.values());
-            baseline_rhs.clear();
-            baseline_rhs.extend_from_slice(rhs);
-            baseline_epoch = Some(matrix.epoch());
-            perf.baseline_snapshots += 1;
+            if hp.incremental {
+                baseline_vals.clear();
+                baseline_vals.extend_from_slice(matrix.values());
+                baseline_rhs.clear();
+                baseline_rhs.extend_from_slice(rhs);
+                baseline_epoch = Some(matrix.epoch());
+                perf.baseline_snapshots += 1;
+            }
         } else {
             matrix.restore_values(baseline_vals);
             rhs.copy_from_slice(baseline_rhs);
@@ -572,9 +438,6 @@ fn solve_incremental(
                 rhs,
                 &part.dynamic_devices,
                 None,
-                hp.tape,
-                dynamic_tape,
-                perf,
             );
         }
 
@@ -784,9 +647,9 @@ mod tests {
     }
 
     /// A forced mid-run sparse→dense demotion (new slot scheme, stale
-    /// tapes, stale baseline, stale factors) must not change the
-    /// trajectory: the epoch guard rebuilds everything and the run keeps
-    /// agreeing with the untouched legacy loop.
+    /// baseline, stale factors) must not change the trajectory: the epoch
+    /// guard rebuilds everything and the run keeps agreeing with the
+    /// reference configuration.
     #[test]
     fn incremental_survives_mid_run_demotion() {
         let (legacy, d0) = stepped_solutions(HotPath::legacy(), 8, None);
@@ -803,15 +666,14 @@ mod tests {
         }
     }
 
-    /// The chord/LU-reuse layer must actually bypass factorisations on a
-    /// steady run — and the tape must replay once the pattern froze.
-    #[test]
-    fn hot_path_reuses_factors_and_tapes() {
+    /// Runs the ladder for six steps under `hot_path` and returns the
+    /// workspace's solver counters.
+    fn steady_run_perf(hot_path: HotPath) -> SolverPerf {
         let mut ckt = wide_ladder();
         let vars = ckt.build_var_map();
         let n = vars.n_unknowns();
         let mut ws = NewtonWorkspace::new(n);
-        let settings = NewtonSettings::default();
+        let settings = NewtonSettings::new().with_hot_path(hot_path);
         let dt = 1e-12;
         let mut pinned = Vec::new();
         let mut x = vec![0.0; n];
@@ -831,14 +693,35 @@ mod tests {
             )
             .expect("step converges");
         }
-        let perf = ws.perf;
+        ws.perf
+    }
+
+    /// The linear devices must land in the static set, the chord/LU-reuse
+    /// layer must actually bypass factorisations on a steady run, and
+    /// baselines must be reused across iterations.
+    #[test]
+    fn hot_path_reuses_factors_and_baselines() {
+        let part = wide_ladder().stamp_partition(true);
+        assert!(!part.static_devices.is_empty(), "linear devices are static");
+        let perf = steady_run_perf(HotPath::default());
         assert!(perf.lu_bypasses > 0, "chord must bypass factorisations");
-        assert!(perf.tape_replays > 0, "tapes must replay: {perf:?}");
         assert!(perf.baseline_reuses > 0, "baselines must be reused");
         assert!(
             perf.factorizations < perf.substitutions,
             "reuse must beat refactoring: {perf:?}"
         );
-        assert_eq!(perf.tape_mismatches, 0, "pattern is stable: {perf:?}");
+    }
+
+    /// The reference configuration shares the loop, so it must really
+    /// switch both layers off: one fresh factorisation per solve and no
+    /// baseline snapshot taken or restored.
+    #[test]
+    fn legacy_configuration_factors_every_iteration() {
+        let perf = steady_run_perf(HotPath::legacy());
+        assert!(perf.substitutions > 0);
+        assert_eq!(perf.factorizations, perf.substitutions, "{perf:?}");
+        assert_eq!(perf.lu_bypasses, 0, "{perf:?}");
+        assert_eq!(perf.baseline_snapshots, 0, "{perf:?}");
+        assert_eq!(perf.baseline_reuses, 0, "{perf:?}");
     }
 }

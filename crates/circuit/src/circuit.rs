@@ -315,14 +315,17 @@ impl Circuit {
     /// [`StampClass::Linear`][crate::device::StampClass::Linear], i.e. the
     /// assembled matrix depends only on `(dt, method, gmin)` and an LU
     /// factorisation can be carried across time points.
-    pub(crate) fn stamp_partition(&self) -> StampPartition {
+    ///
+    /// With `incremental` off every device is dynamic, so the baseline
+    /// holds only the `gmin` shunts: the reference full-restamp loop.
+    pub(crate) fn stamp_partition(&self, incremental: bool) -> StampPartition {
         let mut part = StampPartition {
             static_devices: Vec::new(),
             dynamic_devices: Vec::new(),
             all_linear: true,
         };
         for (idx, dev) in self.devices.iter().enumerate() {
-            let class = if dev.is_nonlinear() {
+            let class = if dev.is_nonlinear() || !incremental {
                 crate::device::StampClass::Dynamic
             } else {
                 dev.stamp_class()

@@ -80,6 +80,14 @@ impl DenseMatrix {
         &mut self.data
     }
 
+    /// Row-major slot of `(row, col)`, checked so that an out-of-range
+    /// column cannot alias an entry of the next row.
+    #[inline]
+    fn slot(&self, row: usize, col: usize) -> usize {
+        assert!(row < self.n && col < self.n, "index out of bounds");
+        row * self.n + col
+    }
+
     /// Returns entry `(row, col)`.
     ///
     /// # Panics
@@ -87,7 +95,7 @@ impl DenseMatrix {
     /// Panics if `row` or `col` is out of bounds.
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> f64 {
-        self.data[row * self.n + col]
+        self.data[self.slot(row, col)]
     }
 
     /// Sets entry `(row, col)`.
@@ -97,33 +105,19 @@ impl DenseMatrix {
     /// Panics if `row` or `col` is out of bounds.
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, value: f64) {
-        self.data[row * self.n + col] = value;
+        let slot = self.slot(row, col);
+        self.data[slot] = value;
     }
 
     /// Adds `value` to entry `(row, col)` — the MNA stamping primitive.
-    ///
-    /// Returns the value slot (`row * n + col`) so callers can record a
-    /// replayable stamp tape; the dense pattern is fixed, so a slot never
-    /// moves.
     ///
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of bounds.
     #[inline]
-    pub fn add(&mut self, row: usize, col: usize, value: f64) -> u32 {
-        let slot = row * self.n + col;
+    pub fn add(&mut self, row: usize, col: usize, value: f64) {
+        let slot = self.slot(row, col);
         self.data[slot] += value;
-        slot as u32
-    }
-
-    /// Adds `value` at a slot previously returned by [`DenseMatrix::add`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of bounds.
-    #[inline]
-    pub fn add_slot(&mut self, slot: u32, value: f64) {
-        self.data[slot as usize] += value;
     }
 
     /// Computes `y = A·x` from the stamped values (not the factors).
@@ -407,5 +401,13 @@ mod tests {
         a.set(1, 1, 4.0);
         assert!(a.factor().is_err());
         assert!(!a.is_factored());
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn column_past_the_edge_panics_instead_of_aliasing() {
+        // (0, n) would otherwise write entry (1, 0) of the row-major store.
+        let mut a = DenseMatrix::zeros(3);
+        a.add(0, 3, 1.0);
     }
 }

@@ -1,7 +1,6 @@
 //! Linear algebra for MNA systems: dense partial-pivot LU, sparse no-pivot
 //! LU with reusable symbolic factorisation, and the [`SystemMatrix`]
-//! dispatcher that picks between them, counts sparse→dense demotions, and
-//! records/replays slot-resolved stamp tapes for zero-hash reassembly.
+//! dispatcher that picks between them and counts sparse→dense demotions.
 
 mod dense;
 mod sparse;
@@ -14,82 +13,6 @@ use crate::error::CircuitError;
 /// Unknown-count threshold above which assembly defaults to the sparse
 /// backend (dense LU is faster below it and unconditionally robust).
 pub const SPARSE_THRESHOLD: usize = 90;
-
-/// One recorded matrix write: coordinates (for replay verification) plus
-/// the resolved value slot in the active backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TapeEntry {
-    row: u32,
-    col: u32,
-    slot: u32,
-}
-
-/// A replayable record of the matrix writes of one assembly pass.
-///
-/// After the first assembly freezes the MNA pattern, replaying a tape
-/// turns every `add(row, col, v)` — a hash lookup on the sparse backend —
-/// into a verified `values[slot] += v` array write. A tape is only
-/// replayable against the matrix *epoch* it was recorded at: structural
-/// growth or a sparse→dense demotion bumps the epoch and forces a
-/// re-record. Tapes are owned by the caller (the Newton workspace) and
-/// passed in and out of [`SystemMatrix::begin_tape`] /
-/// [`SystemMatrix::end_tape`], so no allocation happens in steady state.
-#[derive(Debug, Clone, Default)]
-pub struct StampTape {
-    entries: Vec<TapeEntry>,
-    /// Matrix epoch the entries were recorded at.
-    epoch: u64,
-    /// Cleared when a replay hits a mismatch or short consumption.
-    valid: bool,
-}
-
-impl StampTape {
-    /// Creates an empty (non-replayable) tape.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of recorded matrix writes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no writes are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// `true` when the tape finished a record pass and has not been
-    /// invalidated by a replay mismatch since.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
-    /// Explicitly invalidates the tape, forcing the next pass to
-    /// re-record.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-}
-
-/// Tape state of the matrix during an assembly pass.
-#[derive(Debug, Clone, Default)]
-enum TapeMode {
-    /// Adds go straight to the backend (hash path on sparse).
-    #[default]
-    Off,
-    /// Adds go to the backend and their resolved slots are recorded.
-    Record(StampTape),
-    /// Adds are verified against the tape and applied by slot; on the
-    /// first mismatch `live` drops and the pass degrades to hash adds
-    /// (the already-replayed prefix was verified identical, so the matrix
-    /// stays correct either way).
-    Replay {
-        tape: StampTape,
-        pos: usize,
-        live: bool,
-    },
-}
 
 /// Backend storage behind a [`SystemMatrix`].
 ///
@@ -113,16 +36,15 @@ enum Backend {
 /// demoted to dense partial-pivot LU for that and all subsequent steps —
 /// correctness never depends on the sparse path. Demotions are counted
 /// here (surfaced through `RecoveryStats::dense_demotions`) and bump the
-/// *epoch*, which also invalidates any recorded stamp tapes.
+/// *epoch*, which invalidates baseline snapshots and cached factors.
 #[derive(Debug, Clone)]
 pub struct SystemMatrix {
     backend: Backend,
-    /// Bumped on structural growth and on demotion; tapes and cached
-    /// factorisations are only valid within one epoch.
+    /// Bumped on structural growth and on demotion; value snapshots and
+    /// cached factorisations are only valid within one epoch.
     epoch: u64,
     /// Sparse→dense fallback count for this matrix.
     demotions: u64,
-    tape: TapeMode,
 }
 
 impl SystemMatrix {
@@ -141,7 +63,6 @@ impl SystemMatrix {
             backend: Backend::Dense(DenseMatrix::zeros(n)),
             epoch: 0,
             demotions: 0,
-            tape: TapeMode::Off,
         }
     }
 
@@ -151,7 +72,6 @@ impl SystemMatrix {
             backend: Backend::Sparse(SparseMatrix::zeros(n)),
             epoch: 0,
             demotions: 0,
-            tape: TapeMode::Off,
         }
     }
 
@@ -168,9 +88,8 @@ impl SystemMatrix {
         matches!(self.backend, Backend::Sparse(_))
     }
 
-    /// Structural/backing-store generation. Bumped whenever a value slot
-    /// recorded earlier could stop being meaningful: sparse structural
-    /// growth and sparse→dense demotion.
+    /// Structural/backing-store generation. Bumped whenever the value
+    /// layout changes: sparse structural growth and sparse→dense demotion.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -180,7 +99,7 @@ impl SystemMatrix {
         self.demotions
     }
 
-    /// Zeroes all values, keeping structure, factors, and tape state.
+    /// Zeroes all values, keeping structure and factors.
     pub fn clear(&mut self) {
         match &mut self.backend {
             Backend::Dense(m) => m.clear(),
@@ -215,97 +134,15 @@ impl SystemMatrix {
         vals[baseline.len()..].fill(0.0);
     }
 
-    /// Hands a tape to the matrix for the next assembly pass.
-    ///
-    /// Returns `true` when the tape is replayable (valid and recorded at
-    /// the current epoch): subsequent [`SystemMatrix::add`] calls are
-    /// verified slot writes. Otherwise the tape is cleared and re-recorded
-    /// during the pass, and `false` is returned. Either way the pass must
-    /// be closed with [`SystemMatrix::end_tape`].
-    pub fn begin_tape(&mut self, mut tape: StampTape) -> bool {
-        debug_assert!(
-            matches!(self.tape, TapeMode::Off),
-            "nested tape passes are not supported"
-        );
-        if tape.valid && tape.epoch == self.epoch {
-            self.tape = TapeMode::Replay {
-                tape,
-                pos: 0,
-                live: true,
-            };
-            true
-        } else {
-            tape.entries.clear();
-            tape.valid = false;
-            self.tape = TapeMode::Record(tape);
-            false
-        }
-    }
-
-    /// Closes the tape pass opened by [`SystemMatrix::begin_tape`] and
-    /// returns the tape. A recorded tape comes back valid at the current
-    /// epoch; a replayed tape comes back invalidated if the pass
-    /// mismatched or consumed fewer writes than recorded.
-    pub fn end_tape(&mut self) -> StampTape {
-        match std::mem::take(&mut self.tape) {
-            TapeMode::Record(mut tape) => {
-                tape.epoch = self.epoch;
-                tape.valid = true;
-                tape
-            }
-            TapeMode::Replay {
-                mut tape,
-                pos,
-                live,
-            } => {
-                if !live || pos != tape.entries.len() {
-                    tape.valid = false;
-                }
-                tape
-            }
-            TapeMode::Off => StampTape::new(),
-        }
-    }
-
     /// Adds `value` at `(row, col)` — the stamping primitive.
-    ///
-    /// Inside a replay pass this is a verified `values[slot] += value`
-    /// array write; inside a record pass the resolved slot is captured for
-    /// future replays; otherwise it is a plain backend add.
     pub fn add(&mut self, row: usize, col: usize, value: f64) {
-        if let TapeMode::Replay { tape, pos, live } = &mut self.tape {
-            if *live {
-                if let Some(e) = tape.entries.get(*pos) {
-                    if e.row == row as u32 && e.col == col as u32 {
-                        let slot = e.slot;
-                        *pos += 1;
-                        match &mut self.backend {
-                            Backend::Dense(m) => m.add_slot(slot, value),
-                            Backend::Sparse(m) => m.add_slot(slot, value),
-                        }
-                        return;
-                    }
+        match &mut self.backend {
+            Backend::Dense(m) => m.add(row, col, value),
+            Backend::Sparse(m) => {
+                if m.add(row, col, value) {
+                    self.epoch += 1;
                 }
-                // Mismatch (or tape exhausted early): the replayed prefix
-                // was verified against the recorded coordinates, so the
-                // matrix is still correct — degrade this and the remaining
-                // adds of the pass to the hash path and drop the tape.
-                *live = false;
             }
-        }
-        let (slot, grew) = match &mut self.backend {
-            Backend::Dense(m) => (m.add(row, col, value), false),
-            Backend::Sparse(m) => m.add(row, col, value),
-        };
-        if grew {
-            self.epoch += 1;
-        }
-        if let TapeMode::Record(tape) = &mut self.tape {
-            tape.entries.push(TapeEntry {
-                row: row as u32,
-                col: col as u32,
-                slot,
-            });
         }
     }
 
@@ -352,8 +189,8 @@ impl SystemMatrix {
     /// sparse factorisation would (values preserved, epoch bump, demotion
     /// counted), without needing a matrix the no-pivot LU actually
     /// rejects. Lets equivalence tests exercise the mid-run demotion path
-    /// — tape invalidation and baseline rebuild against the new slot
-    /// scheme. No-op on a dense backend.
+    /// — baseline rebuild against the new slot scheme. No-op on a dense
+    /// backend.
     #[cfg(test)]
     pub(crate) fn force_demote(&mut self) {
         if let Backend::Sparse(m) = &mut self.backend {
@@ -447,111 +284,6 @@ mod tests {
         s.solve_in_place(&mut xs).unwrap();
         assert!((xd[0] - xs[0]).abs() < 1e-12);
         assert!((xd[1] - xs[1]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tape_replay_is_bit_identical_to_hash_assembly() {
-        for mut m in [SystemMatrix::sparse(4), SystemMatrix::dense(4)] {
-            let stamp = |m: &mut SystemMatrix| {
-                m.add(0, 0, 2.0);
-                m.add(1, 1, 3.0);
-                m.add(0, 1, -0.5);
-                m.add(2, 2, 1.5);
-                m.add(3, 3, 4.0);
-                m.add(0, 0, 0.25); // duplicate coordinate, same slot
-            };
-            // Record pass.
-            let recorded = m.begin_tape(StampTape::new());
-            assert!(!recorded, "first pass records");
-            stamp(&mut m);
-            let tape = m.end_tape();
-            assert!(tape.is_valid());
-            assert_eq!(tape.len(), 6);
-            let reference = m.values().to_vec();
-            // Replay pass.
-            m.clear();
-            let replaying = m.begin_tape(tape);
-            assert!(replaying, "second pass replays");
-            stamp(&mut m);
-            let tape = m.end_tape();
-            assert!(tape.is_valid(), "clean replay keeps the tape");
-            assert_eq!(m.values(), &reference[..], "bit-identical values");
-        }
-    }
-
-    #[test]
-    fn tape_mismatch_degrades_gracefully() {
-        let mut m = SystemMatrix::sparse(3);
-        m.begin_tape(StampTape::new());
-        m.add(0, 0, 1.0);
-        m.add(1, 1, 2.0);
-        let tape = m.end_tape();
-        // Replay a *different* pattern: first add matches, second doesn't.
-        m.clear();
-        assert!(m.begin_tape(tape));
-        m.add(0, 0, 1.0);
-        m.add(2, 2, 5.0); // mismatch → degrade to hash path
-        m.add(1, 1, 2.0);
-        let tape = m.end_tape();
-        assert!(!tape.is_valid(), "mismatched tape is dropped");
-        // The matrix itself is still correct.
-        let mut want = SystemMatrix::sparse(3);
-        want.add(0, 0, 1.0);
-        want.add(2, 2, 5.0);
-        want.add(1, 1, 2.0);
-        let mut xa = vec![1.0, 2.0, 5.0];
-        let mut xb = xa.clone();
-        m.solve_in_place(&mut xa).unwrap();
-        want.solve_in_place(&mut xb).unwrap();
-        assert_eq!(xa, xb);
-    }
-
-    #[test]
-    fn epoch_guard_rejects_stale_tapes() {
-        let mut m = SystemMatrix::sparse(3);
-        m.begin_tape(StampTape::new());
-        m.add(0, 0, 1.0);
-        let tape = m.end_tape();
-        assert!(tape.is_valid());
-        // Structural growth outside the tape bumps the epoch.
-        m.add(1, 1, 1.0);
-        m.clear();
-        assert!(
-            !m.begin_tape(tape),
-            "stale tape re-records instead of replaying"
-        );
-        m.add(0, 0, 1.0);
-        m.add(1, 1, 1.0);
-        let tape = m.end_tape();
-        assert!(tape.is_valid());
-        assert_eq!(tape.len(), 2);
-    }
-
-    #[test]
-    fn demotion_invalidates_tapes_via_epoch() {
-        let mut m = SystemMatrix::sparse(2);
-        m.begin_tape(StampTape::new());
-        m.add(0, 1, 1.0);
-        m.add(1, 0, 1.0);
-        let tape = m.end_tape();
-        assert!(tape.is_valid());
-        // Bad pivot → demotion to dense; slots now mean something else.
-        let mut x = vec![7.0, 9.0];
-        m.solve_in_place(&mut x).unwrap();
-        assert!(!m.is_sparse());
-        m.clear();
-        assert!(!m.begin_tape(tape), "post-demotion tape must re-record");
-        m.add(0, 1, 1.0);
-        m.add(1, 0, 1.0);
-        let tape = m.end_tape();
-        // The re-recorded tape replays fine against the dense backend.
-        let reference = m.values().to_vec();
-        m.clear();
-        assert!(m.begin_tape(tape));
-        m.add(0, 1, 1.0);
-        m.add(1, 0, 1.0);
-        assert!(m.end_tape().is_valid());
-        assert_eq!(m.values(), &reference[..]);
     }
 
     #[test]

@@ -211,10 +211,11 @@ pub(crate) fn record_global_demotion() {
 /// how many LU factorisations were actually computed versus how many
 /// triangular substitutions were performed against stored factors (chord
 /// Newton and per-step LU reuse make `substitutions > factorizations`),
-/// how often per-`(time, dt)` baseline snapshots of the static devices
-/// were reused instead of restamped, and how often slot-resolved stamp
-/// tapes replaced hash-path assembly. All-zero with
-/// [`crate::analysis::HotPath::legacy`].
+/// and how often per-`(time, dt)` baseline snapshots of the static devices
+/// were reused instead of restamped. With
+/// [`crate::analysis::HotPath::legacy`] every solve factorises
+/// (`factorizations == substitutions`, no bypasses) and the baselines
+/// hold only the `gmin` shunts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolverPerf {
     /// Numeric LU factorisations computed.
@@ -226,16 +227,15 @@ pub struct SolverPerf {
     /// plus whole-step LU bypasses).
     pub lu_bypasses: u64,
     /// Static-device baseline snapshots taken (one per `(time, dt,
-    /// method)` point with the incremental path on).
+    /// method)` point, plus one per mid-solve matrix layout change).
     pub baseline_snapshots: u64,
     /// Newton iterations that started from a baseline restore instead of
     /// a full restamp.
     pub baseline_reuses: u64,
-    /// Assembly passes served by tape replay (pure `values[slot] += v`
-    /// writes, zero hashing).
+    /// Always zero: stamp tapes were replaced by direct-addressed sparse
+    /// slots. Kept so existing report readers and baselines still parse.
     pub tape_replays: u64,
-    /// Tape replays abandoned mid-pass because the write pattern diverged
-    /// from the recording (the pass degrades to hash adds and re-records).
+    /// Always zero, like [`SolverPerf::tape_replays`].
     pub tape_mismatches: u64,
 }
 
@@ -249,8 +249,7 @@ impl SolverPerf {
             lu_bypasses: self.lu_bypasses - earlier.lu_bypasses,
             baseline_snapshots: self.baseline_snapshots - earlier.baseline_snapshots,
             baseline_reuses: self.baseline_reuses - earlier.baseline_reuses,
-            tape_replays: self.tape_replays - earlier.tape_replays,
-            tape_mismatches: self.tape_mismatches - earlier.tape_mismatches,
+            ..SolverPerf::default()
         }
     }
 
@@ -273,8 +272,6 @@ impl std::ops::AddAssign for SolverPerf {
         self.lu_bypasses += other.lu_bypasses;
         self.baseline_snapshots += other.baseline_snapshots;
         self.baseline_reuses += other.baseline_reuses;
-        self.tape_replays += other.tape_replays;
-        self.tape_mismatches += other.tape_mismatches;
     }
 }
 
@@ -292,8 +289,6 @@ static GLOBAL_SUBSTITUTIONS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_LU_BYPASSES: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_BASELINE_SNAPSHOTS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_BASELINE_REUSES: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_TAPE_REPLAYS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_TAPE_MISMATCHES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide cumulative solver hot-path counters — the [`SolverPerf`]
 /// counterpart of [`global_step_stats`], with the same snapshot-and-diff
@@ -305,8 +300,7 @@ pub fn global_solver_stats() -> SolverPerf {
         lu_bypasses: GLOBAL_LU_BYPASSES.load(Ordering::Relaxed),
         baseline_snapshots: GLOBAL_BASELINE_SNAPSHOTS.load(Ordering::Relaxed),
         baseline_reuses: GLOBAL_BASELINE_REUSES.load(Ordering::Relaxed),
-        tape_replays: GLOBAL_TAPE_REPLAYS.load(Ordering::Relaxed),
-        tape_mismatches: GLOBAL_TAPE_MISMATCHES.load(Ordering::Relaxed),
+        ..SolverPerf::default()
     }
 }
 
@@ -316,8 +310,6 @@ pub(crate) fn record_global_solver(stats: SolverPerf) {
     GLOBAL_LU_BYPASSES.fetch_add(stats.lu_bypasses, Ordering::Relaxed);
     GLOBAL_BASELINE_SNAPSHOTS.fetch_add(stats.baseline_snapshots, Ordering::Relaxed);
     GLOBAL_BASELINE_REUSES.fetch_add(stats.baseline_reuses, Ordering::Relaxed);
-    GLOBAL_TAPE_REPLAYS.fetch_add(stats.tape_replays, Ordering::Relaxed);
-    GLOBAL_TAPE_MISMATCHES.fetch_add(stats.tape_mismatches, Ordering::Relaxed);
 }
 
 /// Signal edge direction for threshold-crossing measurements.
@@ -642,7 +634,7 @@ impl TransientResult {
     }
 
     /// Hot-path solver counters of the run (factorisations vs
-    /// substitutions, baseline and tape reuse).
+    /// substitutions, baseline reuse).
     pub fn solver_perf(&self) -> SolverPerf {
         self.solver
     }

@@ -1,14 +1,11 @@
-//! Equivalence properties of the incremental-assembly Newton hot path.
+//! Equivalence properties of the Newton loop's configurations.
 //!
-//! The hot path (static/dynamic partition + stamp tapes + LU reuse) must
-//! be *numerically equivalent* to the reference full-restamp loop for any
-//! device mix:
-//!
-//! * tape on vs. tape off is **bit-identical** — a verified tape replay
-//!   performs the same additions in the same order as the hash path;
-//! * incremental vs. legacy agree within Newton's own convergence
-//!   tolerance — the only differences are ulp-level stamp reordering and
-//!   chord iterations that converge to the same fixed point.
+//! The hot path (static/dynamic partition + LU reuse) must be
+//! *numerically equivalent* to the reference configuration of the same
+//! loop, [`HotPath::legacy`] (every device restamped, every iteration
+//! factorised), for any device mix. The two agree within Newton's own
+//! convergence tolerance: the only differences are ulp-level stamp
+//! reordering and chord iterations that converge to the same fixed point.
 
 use ftcam_circuit::analysis::{Transient, TransientOpts};
 use ftcam_circuit::elements::{Capacitor, CurrentSource, Diode, Resistor, TimedSwitch};
@@ -113,17 +110,6 @@ fn run_with(p: &LadderParams, hot_path: HotPath) -> (Vec<Vec<f64>>, f64) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Tape replay performs the same slot additions in the same order as
-    /// hash-path assembly, so enabling the tape changes nothing — down to
-    /// the last bit.
-    #[test]
-    fn tape_assembly_is_bit_identical(p in ladder_params()) {
-        let taped = run_with(&p, HotPath::default());
-        let untaped = run_with(&p, HotPath { tape: false, ..HotPath::default() });
-        prop_assert_eq!(taped.0, untaped.0, "traces must be bit-identical");
-        prop_assert_eq!(taped.1.to_bits(), untaped.1.to_bits(), "energy must be bit-identical");
-    }
-
     /// Incremental assembly (baseline snapshot + dynamic restamp + LU
     /// reuse) converges to the same solution as the legacy full-restamp
     /// loop for any mix of Linear / TimeVarying / Dynamic devices.
@@ -148,7 +134,7 @@ proptest! {
     }
 
     /// Disabling only the chord/LU-reuse layer (keeping incremental
-    /// assembly and tapes) also stays within tolerance — isolates the
+    /// assembly) also stays within tolerance — isolates the
     /// chord iteration as the only source of sub-tolerance drift.
     #[test]
     fn lu_reuse_stays_within_tolerance(p in ladder_params()) {

@@ -133,8 +133,8 @@ pub struct ExecStats {
     /// caveat as `steps`); all-zero unless the solver had to recover.
     pub recovery: RecoveryStats,
     /// Solver hot-path counters during the run — factorisations,
-    /// substitutions, LU bypasses, baseline snapshot reuse and stamp-tape
-    /// replays (same process-wide delta caveat as `steps`).
+    /// substitutions, LU bypasses and baseline snapshot reuse (same
+    /// process-wide delta caveat as `steps`).
     pub solver: SolverPerf,
     /// Total wall-clock nanoseconds for the experiment.
     pub wall_nanos: u64,
