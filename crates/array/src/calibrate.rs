@@ -125,6 +125,7 @@ pub fn calibrate_row(
     let mut t_mismatch_1 = 0.0;
     let mut margin_match = 0.0;
     let mut margin_mismatch_1 = 0.0;
+    let mut e_sl_match = 0.0;
     let mut stages_match: Vec<ftcam_cells::StageOutcome> = Vec::new();
     let mut stages_miss: Vec<ftcam_cells::StageOutcome> = Vec::new();
     for &k in &ks {
@@ -143,6 +144,7 @@ pub fn calibrate_row(
         if k == 0 {
             t_match = outcome.latency;
             margin_match = outcome.sense_margin;
+            e_sl_match = outcome.energy_sl;
             stages_match = outcome.stages.clone();
         }
         if k == 1 {
@@ -153,24 +155,18 @@ pub fn calibrate_row(
     }
 
     // SL energy per definite digit: from the k = 0 search of a RZ design the
-    // SL component divides by the number of definite digits; for gated
-    // designs, measure the energy of *changing* every SL by searching the
-    // complement pattern.
+    // SL component divides by the number of definite digits. A gated
+    // design's steady-state window sees settled SL levels, so its toggle
+    // cost is the RZ-equivalent line energy.
     let e_sl_per_definite_bit = if sl_gated {
-        let complement: TernaryWord = stored.digits().iter().map(|d| d.complement()).collect();
-        let out = row.search(&complement, timing)?;
-        // Every definite digit toggled exactly once in the first cycle of
-        // this search; the steady-state window sees the settled levels, so
-        // approximate the toggle cost by the RZ-equivalent line energy.
-        let _ = out;
         estimate_line_energy(card, geometry, row.design().area_f2())
     } else {
-        let out0 = row.search(&stored, timing)?;
-        out0.energy_sl / width as f64
+        e_sl_match / width as f64
     };
 
     // Per-stage calibration (trivial single entry for flat designs).
-    let stages = build_stage_calibration(width, &stages_match, &stages_miss, timing);
+    let stages =
+        build_stage_calibration(row.segment_columns(), &stages_match, &stages_miss, timing);
 
     // Write energy for NVM designs. The write follows the search phase's
     // step-control policy so adaptive runs speed up calibration too.
@@ -204,24 +200,23 @@ fn estimate_line_energy(card: &TechCard, geometry: &Geometry, area_f2: f64) -> f
     c_line * card.vdd * card.vdd
 }
 
+/// Pairs each segment's full-match stage with its single-mismatch stage (if
+/// the mismatch search reached it); `segment_columns` is the testbench's
+/// partition, so stage widths are the simulated ones.
 fn build_stage_calibration(
-    width: usize,
+    segment_columns: &[Vec<usize>],
     stages_match: &[ftcam_cells::StageOutcome],
     stages_miss: &[ftcam_cells::StageOutcome],
     timing: &SearchTiming,
 ) -> Vec<StageCalibration> {
-    if stages_match.is_empty() {
-        return Vec::new();
-    }
-    let n = stages_match.len();
-    let seg_width = width.div_ceil(n);
     stages_match
         .iter()
+        .zip(segment_columns)
         .enumerate()
-        .map(|(s, m)| {
+        .map(|(s, (m, columns))| {
             let miss = stages_miss.iter().find(|st| st.segment == s);
             StageCalibration {
-                width: seg_width.min(width - s * seg_width),
+                width: columns.len(),
                 e_match: m.energy,
                 e_mismatch: miss.map_or(m.energy, |st| st.energy),
                 t_match: m.latency,
@@ -230,10 +225,6 @@ fn build_stage_calibration(
         })
         .collect()
 }
-
-/// Number of lock shards in [`CalibrationCache`]; a small power of two is
-/// plenty since there are at most designs × widths distinct keys.
-const CACHE_SHARDS: usize = 16;
 
 type Slot = Arc<OnceLock<Result<RowCalibration, CellError>>>;
 
@@ -272,11 +263,11 @@ impl CacheStats {
 /// The card, geometry and timing are fixed at construction; calibrations
 /// are computed lazily on first access and shared afterwards.
 ///
-/// Internally the key space is split across [`CACHE_SHARDS`] mutex-guarded
-/// shards so concurrent lookups of different keys rarely contend, and each
-/// key maps to an `Arc<OnceLock<..>>` slot so concurrent lookups of the
-/// *same* cold key block on one in-flight calibration instead of running
-/// it redundantly. Errors are cached too: a `(design, width)` pair that
+/// Internally one mutex guards the key → slot map and is held only for the
+/// lookup or insert. Each key maps to an `Arc<OnceLock<..>>` slot, so a
+/// calibration runs outside the lock and concurrent lookups of the *same*
+/// cold key block on one in-flight calibration instead of running it
+/// redundantly. Errors are cached too: a `(design, width)` pair that
 /// fails calibration fails identically on every later lookup without
 /// re-simulating.
 #[derive(Debug)]
@@ -284,7 +275,7 @@ pub struct CalibrationCache {
     card: TechCard,
     geometry: Geometry,
     timing: SearchTiming,
-    shards: [Mutex<HashMap<(DesignKind, usize), Slot>>; CACHE_SHARDS],
+    slots: Mutex<HashMap<(DesignKind, usize), Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
     dedup_waits: AtomicU64,
@@ -299,7 +290,7 @@ impl CalibrationCache {
             card,
             geometry,
             timing,
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            slots: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             dedup_waits: AtomicU64::new(0),
@@ -329,13 +320,6 @@ impl CalibrationCache {
         }
     }
 
-    fn shard(&self, key: &(DesignKind, usize)) -> &Mutex<HashMap<(DesignKind, usize), Slot>> {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[hasher.finish() as usize % CACHE_SHARDS]
-    }
-
     /// Returns (computing if necessary) the calibration for a design/width.
     ///
     /// # Errors
@@ -346,25 +330,24 @@ impl CalibrationCache {
     pub fn get(&self, kind: DesignKind, width: usize) -> Result<RowCalibration, CellError> {
         let key = (kind, width);
         let (slot, owner) = {
-            // A panic inside a calibration poisons only that shard's lock;
-            // the map it guards is still structurally sound (the panicking
-            // holder at most inserted an unfinished slot, and unfinished
-            // slots are re-initialised below), so recover instead of
-            // wedging every later lookup that hashes here.
-            let mut shard = self
-                .shard(&key)
+            // Every update of the map is a single insert, so a poisoned lock
+            // still guards a sound map (the panicking holder at most inserted
+            // an unfinished slot, and unfinished slots are re-initialised
+            // below); recover instead of wedging every later lookup.
+            let mut slots = self
+                .slots
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match shard.get(&key) {
+            match slots.get(&key) {
                 Some(slot) => (Arc::clone(slot), false),
                 None => {
                     let slot: Slot = Arc::new(OnceLock::new());
-                    shard.insert(key, Arc::clone(&slot));
+                    slots.insert(key, Arc::clone(&slot));
                     (slot, true)
                 }
             }
         };
-        // The shard lock is already released: a long calibration never
+        // The map lock is already released: a long calibration never
         // blocks lookups of other keys, only of this slot.
         if let Some(done) = slot.get() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -443,6 +426,24 @@ mod tests {
         assert!(calib.t_mismatch_1 < calib.t_match);
         assert!(calib.e_write_per_bit.unwrap() > 0.0);
         assert!(!calib.sl_gated);
+    }
+
+    #[test]
+    fn stage_widths_follow_the_testbench_partition() {
+        // Balanced segments with the remainder on the first ones, as
+        // `RowTestbench` builds them.
+        for (width, want) in [(5, vec![2, 1, 1, 1]), (10, vec![3, 3, 2, 2])] {
+            let calib = calibrate_row(
+                DesignKind::EaMlSegmented,
+                &TechCard::hp45(),
+                &Geometry::default(),
+                &SearchTiming::fast(),
+                width,
+            )
+            .unwrap();
+            let widths: Vec<usize> = calib.stages.iter().map(|s| s.width).collect();
+            assert_eq!(widths, want, "width {width}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property test: the sharded, dedup-ing calibration cache is observably
+//! Property test: the dedup-ing calibration cache is observably
 //! identical to serial recomputation — any interleaving of concurrent
 //! mixed-key lookups returns the same calibrations a fresh serial run
 //! produces, and the counters always balance.

@@ -5,7 +5,7 @@ use ftcam_devices::TechCard;
 use ftcam_workloads::Ternary;
 use serde::{Deserialize, Serialize};
 
-use crate::designs::{Cmos16T, EaFull, EaLowSwing, EaMlSegmented, EaSlGated, FeFet2T, Rram2T2R};
+use crate::designs::{Cmos16T, FeFetTcam, Rram2T2R};
 use crate::geometry::Geometry;
 
 /// The nodes a cell connects to, handed to [`CellDesign::build_cell`].
@@ -204,11 +204,11 @@ impl DesignKind {
         match self {
             DesignKind::Cmos16T => Box::new(Cmos16T::new()),
             DesignKind::Rram2T2R => Box::new(Rram2T2R::new()),
-            DesignKind::FeFet2T => Box::new(FeFet2T::new()),
-            DesignKind::EaLowSwing => Box::new(EaLowSwing::new(0.5)),
-            DesignKind::EaSlGated => Box::new(EaSlGated::new()),
-            DesignKind::EaMlSegmented => Box::new(EaMlSegmented::new(4)),
-            DesignKind::EaFull => Box::new(EaFull::new(0.5)),
+            DesignKind::FeFet2T => Box::new(FeFetTcam::two_fefet()),
+            DesignKind::EaLowSwing => Box::new(FeFetTcam::low_swing(0.5)),
+            DesignKind::EaSlGated => Box::new(FeFetTcam::sl_gated()),
+            DesignKind::EaMlSegmented => Box::new(FeFetTcam::ml_segmented(4)),
+            DesignKind::EaFull => Box::new(FeFetTcam::full()),
         }
     }
 

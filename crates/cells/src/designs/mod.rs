@@ -1,11 +1,9 @@
 //! The shipped cell designs.
 
 mod cmos16t;
-mod ea;
-mod fefet2t;
+mod fefet;
 mod rram2t2r;
 
 pub use cmos16t::Cmos16T;
-pub use ea::{EaFull, EaLowSwing, EaMlSegmented, EaSlGated};
-pub use fefet2t::FeFet2T;
+pub use fefet::FeFetTcam;
 pub use rram2t2r::Rram2T2R;

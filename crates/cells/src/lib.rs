@@ -20,7 +20,8 @@
 //! | `ea-full`  | low-swing + SL-gating (proposed) | the headline design |
 //!
 //! All are NOR-type: the match line is precharged and any mismatching cell
-//! discharges it.
+//! discharges it. The five FeFET designs are one type, [`FeFetTcam`], built
+//! per variant by its constructors.
 //!
 //! # Example
 //!
@@ -60,7 +61,7 @@ pub use arraytb::{ArraySearchOutcome, ArrayTestbench};
 pub use design::{
     CellDesign, CellHandle, CellSite, DesignKind, DeviceCount, FooterStyle, RowFeatures,
 };
-pub use designs::{Cmos16T, EaFull, EaLowSwing, EaMlSegmented, EaSlGated, FeFet2T, Rram2T2R};
+pub use designs::{Cmos16T, FeFetTcam, Rram2T2R};
 pub use error::CellError;
 pub use geometry::Geometry;
 pub use mcam::{pack_word, LevelRange, McamEncoder, McamRow};

@@ -4,12 +4,14 @@ use ftcam_circuit::analysis::{RecordMode, Transient, TransientOpts};
 use ftcam_circuit::elements::{Capacitor, Resistor};
 use ftcam_circuit::waveform::Waveform;
 use ftcam_circuit::{
-    Circuit, Edge, NewtonSettings, NodeId, PinId, RecoveryStats, SolverPerf, StepStats,
+    Circuit, Edge, NewtonSettings, NodeId, PinId, RecoveryStats, SolverPerf, StepControl,
+    StepStats, TransientResult,
 };
 use ftcam_devices::{FeFet, Mosfet, MosfetParams, Polarity, TechCard};
 use ftcam_workloads::{Ternary, TernaryWord};
 
 use crate::design::{CellDesign, CellHandle, CellSite, FooterStyle};
+use crate::designs::FeFetTcam;
 use crate::error::CellError;
 use crate::geometry::Geometry;
 use crate::search::{SearchOutcome, SearchTiming, StageOutcome};
@@ -21,7 +23,7 @@ const NMOS_PRECHARGE_BOOST: f64 = 0.4;
 
 /// How the match line of a segment is precharged.
 #[derive(Debug, Clone, Copy)]
-enum PrechargeKind {
+pub(crate) enum PrechargeKind {
     /// PMOS device, clock active-low.
     Pmos,
     /// NMOS device with a boosted active-high clock (low-swing rails).
@@ -42,6 +44,12 @@ impl PrechargeKind {
             PrechargeKind::Nmos => 0.0,
         }
     }
+
+    /// The clock of the stage under evaluation: on in both precharge phases.
+    pub(crate) fn clock(self, vdd: f64, timing: &SearchTiming) -> Waveform {
+        let (on, off) = (self.on_level(vdd), self.off_level(vdd));
+        two_cycle_pwl([on, off, on, off], timing)
+    }
 }
 
 /// Recorded match-line waveform of one stage (for the waveform figures).
@@ -53,6 +61,45 @@ pub struct MlTrace {
     pub times: Vec<f64>,
     /// ML voltage samples (volts).
     pub volts: Vec<f64>,
+}
+
+/// One evaluated stage before it is folded into a [`SearchOutcome`].
+struct Stage {
+    outcome: StageOutcome,
+    energy_ml: f64,
+    energy_sl: f64,
+    trace: MlTrace,
+}
+
+/// The Newton settings a testbench applies to every transient it runs, and
+/// the solver counters accumulated over all of them.
+#[derive(Debug, Default)]
+pub(crate) struct Solver {
+    pub(crate) newton: NewtonSettings,
+    pub(crate) step_stats: StepStats,
+    pub(crate) recovery_stats: RecoveryStats,
+    pub(crate) solver_perf: SolverPerf,
+}
+
+impl Solver {
+    /// Runs `opts` from the circuit's present state under `step`, adding
+    /// the run's counters.
+    pub(crate) fn run(
+        &mut self,
+        ckt: &mut Circuit,
+        opts: TransientOpts,
+        step: StepControl,
+    ) -> Result<TransientResult, CellError> {
+        let opts = opts
+            .use_initial_conditions()
+            .with_step_control(step)
+            .with_newton(self.newton);
+        let result = Transient::new(opts).run(ckt)?;
+        self.step_stats += result.step_stats();
+        self.recovery_stats += result.recovery_stats();
+        self.solver_perf += result.solver_perf();
+        Ok(result)
+    }
 }
 
 /// A transistor-level testbench for one TCAM row (word).
@@ -74,7 +121,6 @@ pub struct RowTestbench {
     cells: Vec<CellHandle>,
     sl_pins: Vec<(PinId, PinId)>,
     ml_nodes: Vec<NodeId>,
-    ml_names: Vec<String>,
     pre_pins: Vec<PinId>,
     precharge: PrechargeKind,
     en_pin: Option<PinId>,
@@ -82,10 +128,7 @@ pub struct RowTestbench {
     segment_of_column: Vec<usize>,
     segment_columns: Vec<Vec<usize>>,
     stored: TernaryWord,
-    step_stats: StepStats,
-    recovery_stats: RecoveryStats,
-    solver_perf: SolverPerf,
-    newton: NewtonSettings,
+    solver: Solver,
 }
 
 impl RowTestbench {
@@ -116,25 +159,17 @@ impl RowTestbench {
         let area_f2 = design.area_f2();
 
         // Segment partition: balanced, first segments take the remainder.
-        let mut segment_columns: Vec<Vec<usize>> = vec![Vec::new(); segments];
-        let mut segment_of_column = vec![0usize; width];
-        {
-            let base = width / segments;
-            let rem = width % segments;
-            let mut col = 0usize;
-            for (s, columns) in segment_columns.iter_mut().enumerate() {
-                let size = base + usize::from(s < rem);
-                for _ in 0..size {
-                    segment_of_column[col] = s;
-                    columns.push(col);
-                    col += 1;
-                }
-            }
+        let (base, rem) = (width / segments, width % segments);
+        let mut segment_columns: Vec<Vec<usize>> = Vec::with_capacity(segments);
+        let mut segment_of_column = Vec::with_capacity(width);
+        for s in 0..segments {
+            let start = segment_of_column.len();
+            segment_of_column.resize(start + base + usize::from(s < rem), s);
+            segment_columns.push((start..segment_of_column.len()).collect());
         }
 
         // Per-segment match line, wire cap, precharge device, write clamp.
         let mut ml_nodes = Vec::with_capacity(segments);
-        let mut ml_names = Vec::with_capacity(segments);
         let mut pre_pins = Vec::with_capacity(segments);
         let wen = design.supports_transient_write().then(|| {
             let wen_node = ckt.node("wen");
@@ -142,39 +177,17 @@ impl RowTestbench {
                 .expect("fresh node")
         });
         for (s, columns) in segment_columns.iter().enumerate() {
-            let ml_name = format!("ml{s}");
-            let ml = ckt.node(&ml_name);
+            let (ml, pre_pin) = build_match_line(
+                &mut ckt,
+                design.as_ref(),
+                &card,
+                &geometry,
+                precharge,
+                columns.len(),
+                s,
+            )?;
             ml_nodes.push(ml);
-            ml_names.push(ml_name);
-            ckt.add_labeled(
-                format!("c_ml_wire{s}"),
-                Capacitor::new(
-                    ml,
-                    ckt.ground(),
-                    geometry.ml_wire_cap(area_f2, columns.len()),
-                ),
-            );
-            // Precharge rail + device + clock pin.
-            let rail = ckt.node(&format!("vpre{s}"));
-            ckt.pin(rail, format!("VPRE{s}"), Waveform::dc(v_pre))
-                .map_err(CellError::from)?;
-            let clk = ckt.node(&format!("preb{s}"));
-            let pre_pin = ckt
-                .pin(
-                    clk,
-                    format!("PREB{s}"),
-                    Waveform::dc(precharge.off_level(card.vdd)),
-                )
-                .map_err(CellError::from)?;
             pre_pins.push(pre_pin);
-            let pre_params = match precharge {
-                PrechargeKind::Pmos => card.pmos.scaled(geometry.precharge_width_mult),
-                PrechargeKind::Nmos => card.nmos.scaled(geometry.precharge_width_mult),
-            };
-            // Drain on the rail, source on the ML for the PMOS orientation;
-            // the EKV model is source/drain symmetric so the distinction
-            // only matters for readability.
-            ckt.add_labeled(format!("m_pre{s}"), Mosfet::new(pre_params, rail, clk, ml));
             if let Some(_wen_pin) = wen {
                 let wen_node = ckt.node("wen");
                 let clamp = clamp_params(&card, &geometry);
@@ -197,50 +210,21 @@ impl RowTestbench {
             }
         };
 
-        // Columns: SL driver pin → driver resistance → SL node (+ wire cap).
-        let mut sl_pins = Vec::with_capacity(width);
-        let mut sl_nodes = Vec::with_capacity(width);
-        for i in 0..width {
-            let mut make_line = |tag: &str| -> Result<(PinId, NodeId), CellError> {
-                let drv = ckt.node(&format!("{tag}drv{i}"));
-                let line = ckt.node(&format!("{tag}{i}"));
-                let pin = ckt
-                    .pin(drv, format!("{}{i}", tag.to_uppercase()), Waveform::dc(0.0))
-                    .map_err(CellError::from)?;
-                ckt.add_labeled(
-                    format!("r_{tag}{i}"),
-                    Resistor::new(drv, line, geometry.sl_driver_resistance),
-                );
-                ckt.add_labeled(
-                    format!("c_{tag}wire{i}"),
-                    Capacitor::new(line, NodeId::GROUND, geometry.sl_wire_cap_per_cell(area_f2)),
-                );
-                Ok((pin, line))
-            };
-            let (sl_pin, sl_node) = make_line("sl")?;
-            let (slb_pin, slb_node) = make_line("slb")?;
-            sl_pins.push((sl_pin, slb_pin));
-            sl_nodes.push((sl_node, slb_node));
-        }
-
-        // Footers (one per group of adjacent columns within a segment).
-        let mut source_rail_of_column = vec![NodeId::GROUND; width];
-        if let FooterStyle::SharedPerGroup(group) = features.footer {
-            let en_node = ckt.node("en");
-            for columns in &segment_columns {
-                for chunk in columns.chunks(group.max(1)) {
-                    let rail = ckt.fresh_node("footer_rail");
-                    let footer = card.nmos.scaled(geometry.footer_width_mult);
-                    ckt.add_labeled(
-                        format!("m_footer{}", chunk[0]),
-                        Mosfet::new(footer, rail, en_node, ckt.ground()),
-                    );
-                    for &col in chunk {
-                        source_rail_of_column[col] = rail;
-                    }
-                }
-            }
-        }
+        let (sl_pins, sl_nodes) = build_search_lines(
+            &mut ckt,
+            &geometry,
+            width,
+            geometry.sl_wire_cap_per_cell(area_f2),
+        )?;
+        let source_rail_of_column = build_footers(
+            &mut ckt,
+            &card,
+            &geometry,
+            features.footer,
+            &segment_columns,
+            width,
+            "m_footer",
+        );
 
         // Cells.
         let mut cells = Vec::with_capacity(width);
@@ -264,7 +248,6 @@ impl RowTestbench {
             cells,
             sl_pins,
             ml_nodes,
-            ml_names,
             pre_pins,
             precharge,
             en_pin,
@@ -272,10 +255,7 @@ impl RowTestbench {
             segment_of_column,
             segment_columns,
             stored: TernaryWord::all_x(width),
-            step_stats: StepStats::default(),
-            recovery_stats: RecoveryStats::default(),
-            solver_perf: SolverPerf::default(),
-            newton: NewtonSettings::default(),
+            solver: Solver::default(),
         })
     }
 
@@ -287,32 +267,32 @@ impl RowTestbench {
     /// Cumulative transient step statistics over every operation this
     /// testbench has run (searches, writes, calibration sweeps).
     pub fn step_stats(&self) -> StepStats {
-        self.step_stats
+        self.solver.step_stats
     }
 
     /// Cumulative recovery-ladder statistics over every operation this
     /// testbench has run (all-zero unless the solver needed the ladder).
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery_stats
+        self.solver.recovery_stats
     }
 
     /// Cumulative solver hot-path counters (factorisations, LU bypasses,
     /// baseline reuses, ...) over every operation this testbench has run.
     pub fn solver_perf(&self) -> SolverPerf {
-        self.solver_perf
+        self.solver.solver_perf
     }
 
     /// The Newton solver settings applied to every transient this
     /// testbench runs.
     pub fn newton_settings(&self) -> NewtonSettings {
-        self.newton
+        self.solver.newton
     }
 
     /// Overrides the Newton solver settings (tolerances, damping, `gmin`,
     /// and — under the `fault-injection` feature — an injected fault plan)
     /// for every subsequent operation.
     pub fn set_newton_settings(&mut self, newton: NewtonSettings) {
-        self.newton = newton;
+        self.solver.newton = newton;
     }
 
     /// The design under test.
@@ -355,12 +335,7 @@ impl RowTestbench {
     ///
     /// Returns [`CellError::WidthMismatch`] for a wrong-width word.
     pub fn program_word(&mut self, word: &TernaryWord) -> Result<(), CellError> {
-        if word.width() != self.width {
-            return Err(CellError::WidthMismatch {
-                expected: self.width,
-                got: word.width(),
-            });
-        }
+        self.check_width(word.width())?;
         for (i, handle) in self.cells.iter().enumerate() {
             self.design
                 .program_cell(&mut self.ckt, handle, &self.card, word.get(i));
@@ -394,159 +369,142 @@ impl RowTestbench {
         query: &TernaryWord,
         timing: &SearchTiming,
     ) -> Result<(SearchOutcome, Vec<MlTrace>), CellError> {
-        if query.width() != self.width {
-            return Err(CellError::WidthMismatch {
-                expected: self.width,
-                got: query.width(),
-            });
+        self.check_width(query.width())?;
+        let mut stages = Vec::with_capacity(self.ml_nodes.len());
+        for seg in 0..self.ml_nodes.len() {
+            let lines = (0..self.width)
+                .map(|i| {
+                    if self.segment_of_column[i] == seg {
+                        drive_digit(self.design.as_ref(), &self.card, query.get(i), timing)
+                    } else {
+                        (Waveform::dc(0.0), Waveform::dc(0.0))
+                    }
+                })
+                .collect();
+            let stage = self.stage(seg, lines, timing)?;
+            let matched = stage.outcome.matched;
+            stages.push(stage);
+            if !matched {
+                break;
+            }
         }
-        let features = self.design.features();
+        Ok(self.fold(stages))
+    }
+
+    /// Runs one two-cycle stage: precharges and evaluates segment `seg`
+    /// with column `i`'s SL/SLB driven by `lines[i]`, and measures the
+    /// steady-state (second) cycle.
+    fn stage(
+        &mut self,
+        seg: usize,
+        lines: Vec<(Waveform, Waveform)>,
+        timing: &SearchTiming,
+    ) -> Result<Stage, CellError> {
         let vdd = self.card.vdd;
         let threshold = self.design.sense_threshold(&self.card);
         let t_cycle = timing.cycle();
         let t_total = 2.0 * t_cycle;
-        let segments = self.ml_nodes.len();
-
-        let mut stages = Vec::with_capacity(segments);
-        let mut traces = Vec::with_capacity(segments);
-        let mut energy_ml = 0.0;
-        let mut energy_sl = 0.0;
-        let mut energy_ctrl = 0.0;
-        let mut latency = 0.0;
-        let mut sense_margin = f64::INFINITY;
-        let mut matched = true;
-
-        for seg in 0..segments {
-            // --- Configure waveforms for this stage -------------------------
-            for s in 0..segments {
-                let active = s == seg;
-                let wave = if active {
-                    two_cycle_pwl(
-                        [
-                            self.precharge.on_level(vdd),
-                            self.precharge.off_level(vdd),
-                            self.precharge.on_level(vdd),
-                            self.precharge.off_level(vdd),
-                        ],
-                        timing,
-                    )
-                } else {
-                    Waveform::dc(self.precharge.off_level(vdd))
-                };
-                self.ckt.set_pin_waveform(self.pre_pins[s], wave);
-            }
-            for i in 0..self.width {
-                let (v_sl, v_slb) = self.design.sl_levels(query.get(i), &self.card);
-                let in_active_segment = self.segment_of_column[i] == seg;
-                let (sl_wave, slb_wave) = if !in_active_segment {
-                    (Waveform::dc(0.0), Waveform::dc(0.0))
-                } else if features.sl_return_to_zero {
-                    (
-                        two_cycle_pwl([0.0, v_sl, 0.0, v_sl], timing),
-                        two_cycle_pwl([0.0, v_slb, 0.0, v_slb], timing),
-                    )
-                } else {
-                    (Waveform::dc(v_sl), Waveform::dc(v_slb))
-                };
-                self.ckt.set_pin_waveform(self.sl_pins[i].0, sl_wave);
-                self.ckt.set_pin_waveform(self.sl_pins[i].1, slb_wave);
-            }
-            if let Some(en) = self.en_pin {
-                self.ckt
-                    .set_pin_waveform(en, two_cycle_pwl([0.0, vdd, 0.0, vdd], timing));
-            }
-            if let Some(wen) = self.wen_pin {
-                self.ckt.set_pin_waveform(wen, Waveform::dc(0.0));
-            }
-
-            // --- Simulate two cycles ----------------------------------------
-            let opts = TransientOpts::new(timing.dt, t_total)
-                .use_initial_conditions()
-                .with_step_control(timing.step)
-                .with_newton(self.newton)
-                .record_nodes([self.ml_nodes[seg]]);
-            let result = Transient::new(opts)
-                .run(&mut self.ckt)
-                .map_err(CellError::from)?;
-            self.step_stats += result.step_stats();
-            self.recovery_stats += result.recovery_stats();
-            self.solver_perf += result.solver_perf();
-
-            // --- Measure the steady-state (second) cycle ---------------------
-            let ml = result.trace(&self.ml_names[seg]).map_err(CellError::from)?;
-            let eval_start = t_cycle + timing.t_precharge;
-            let t_sense = eval_start + timing.sense_offset;
-            let ml_at_sense = ml.value_at(t_sense);
-            let seg_matched = ml_at_sense > threshold;
-            let stage_latency = if seg_matched {
-                timing.t_precharge + timing.sense_offset
+        for (s, &pin) in self.pre_pins.iter().enumerate() {
+            let wave = if s == seg {
+                self.precharge.clock(vdd, timing)
             } else {
-                let cross = ml
-                    .cross_after(threshold, Edge::Falling, eval_start)
-                    .unwrap_or(t_sense);
-                timing.t_precharge + (cross - eval_start).max(0.0)
+                Waveform::dc(self.precharge.off_level(vdd))
             };
-            let e_stage = result.total_supply_energy_in(t_cycle, t_total);
-            let e_ml: f64 = (0..segments)
-                .map(|s| {
-                    result
-                        .supply_energy_in(&format!("VPRE{s}"), t_cycle, t_total)
-                        .expect("pin exists")
-                })
-                .sum();
-            let e_sl: f64 = (0..self.width)
-                .map(|i| {
-                    result
-                        .supply_energy_in(&format!("SL{i}"), t_cycle, t_total)
-                        .expect("pin exists")
-                        + result
-                            .supply_energy_in(&format!("SLB{i}"), t_cycle, t_total)
-                            .expect("pin exists")
-                })
-                .sum();
-            energy_ml += e_ml;
-            energy_sl += e_sl;
-            energy_ctrl += e_stage - e_ml - e_sl;
-            latency += stage_latency;
-            let margin = if seg_matched {
-                ml_at_sense - threshold
-            } else {
-                threshold - ml_at_sense
-            };
-            sense_margin = sense_margin.min(margin);
-            stages.push(StageOutcome {
+            self.ckt.set_pin_waveform(pin, wave);
+        }
+        for (&(sl_pin, slb_pin), (sl, slb)) in self.sl_pins.iter().zip(lines) {
+            self.ckt.set_pin_waveform(sl_pin, sl);
+            self.ckt.set_pin_waveform(slb_pin, slb);
+        }
+        if let Some(en) = self.en_pin {
+            self.ckt.set_pin_waveform(en, evaluate_pulse(vdd, timing));
+        }
+        if let Some(wen) = self.wen_pin {
+            self.ckt.set_pin_waveform(wen, Waveform::dc(0.0));
+        }
+
+        let opts = TransientOpts::new(timing.dt, t_total).record_nodes([self.ml_nodes[seg]]);
+        let result = self.solver.run(&mut self.ckt, opts, timing.step)?;
+
+        let ml = result.trace(&format!("ml{seg}"))?;
+        let eval_start = t_cycle + timing.t_precharge;
+        let t_sense = eval_start + timing.sense_offset;
+        let ml_at_sense = ml.value_at(t_sense);
+        let matched = ml_at_sense > threshold;
+        let latency = if matched {
+            timing.t_precharge + timing.sense_offset
+        } else {
+            let cross = ml
+                .cross_after(threshold, Edge::Falling, eval_start)
+                .unwrap_or(t_sense);
+            timing.t_precharge + (cross - eval_start).max(0.0)
+        };
+        let (energy_ml, energy_sl) =
+            window_energies(&result, self.ml_nodes.len(), self.width, t_cycle, t_total);
+        Ok(Stage {
+            outcome: StageOutcome {
                 segment: seg,
-                matched: seg_matched,
+                matched,
                 ml_at_sense,
-                latency: stage_latency,
-                energy: e_stage,
-            });
-            traces.push(MlTrace {
+                latency,
+                energy: result.total_supply_energy_in(t_cycle, t_total),
+            },
+            energy_ml,
+            energy_sl,
+            trace: MlTrace {
                 segment: seg,
                 times: ml.times().to_vec(),
                 volts: ml.values().to_vec(),
-            });
-            if !seg_matched {
-                matched = false;
-                break;
-            }
-        }
-
-        let energy_total = energy_ml + energy_sl + energy_ctrl;
-        Ok((
-            SearchOutcome {
-                matched,
-                latency,
-                energy_total,
-                energy_ml,
-                energy_sl,
-                energy_ctrl,
-                sense_threshold: threshold,
-                sense_margin,
-                stages,
             },
-            traces,
-        ))
+        })
+    }
+
+    /// Folds the evaluated stages into one outcome: energies and latencies
+    /// add up, the row matches only if every stage did, and the margin is
+    /// the worst stage's.
+    fn fold(&self, stages: Vec<Stage>) -> (SearchOutcome, Vec<MlTrace>) {
+        let threshold = self.design.sense_threshold(&self.card);
+        let mut out = SearchOutcome {
+            matched: true,
+            latency: 0.0,
+            energy_total: 0.0,
+            energy_ml: 0.0,
+            energy_sl: 0.0,
+            energy_ctrl: 0.0,
+            sense_threshold: threshold,
+            sense_margin: f64::INFINITY,
+            stages: Vec::with_capacity(stages.len()),
+        };
+        let mut traces = Vec::with_capacity(stages.len());
+        for stage in stages {
+            let st = stage.outcome;
+            out.energy_ml += stage.energy_ml;
+            out.energy_sl += stage.energy_sl;
+            out.energy_ctrl += st.energy - stage.energy_ml - stage.energy_sl;
+            out.latency += st.latency;
+            let margin = if st.matched {
+                st.ml_at_sense - threshold
+            } else {
+                threshold - st.ml_at_sense
+            };
+            out.sense_margin = out.sense_margin.min(margin);
+            out.matched &= st.matched;
+            out.stages.push(st);
+            traces.push(stage.trace);
+        }
+        out.energy_total = out.energy_ml + out.energy_sl + out.energy_ctrl;
+        (out, traces)
+    }
+
+    fn check_width(&self, got: usize) -> Result<(), CellError> {
+        if got == self.width {
+            Ok(())
+        } else {
+            Err(CellError::WidthMismatch {
+                expected: self.width,
+                got,
+            })
+        }
     }
 
     /// Performs a transient word write (FeFET designs only).
@@ -567,12 +525,7 @@ impl RowTestbench {
                 self.design.name()
             )));
         }
-        if word.width() != self.width {
-            return Err(CellError::WidthMismatch {
-                expected: self.width,
-                got: word.width(),
-            });
-        }
+        self.check_width(word.width())?;
         let amplitude = timing.amplitude.unwrap_or(self.card.vprog);
         let t0 = 1e-9;
         let t_erase_end = t0 + timing.erase_width;
@@ -593,17 +546,7 @@ impl RowTestbench {
                 .set_pin_waveform(*pin, Waveform::dc(self.precharge.off_level(self.card.vdd)));
         }
 
-        // Snapshot switching energy before the write.
-        let e_sw_before: f64 = self
-            .fefet_devices()
-            .iter()
-            .map(|&d| {
-                self.ckt
-                    .device_ref::<FeFet>(d)
-                    .expect("fefet design")
-                    .switching_energy()
-            })
-            .sum();
+        let e_sw_before = self.switching_energy();
 
         // Drive the pulse scheme.
         for i in 0..self.width {
@@ -634,23 +577,14 @@ impl RowTestbench {
                 .set_pin_waveform(self.sl_pins[i].1, make(program_slb));
         }
 
-        let opts = TransientOpts::new(timing.dt, t_total)
-            .use_initial_conditions()
-            .with_step_control(timing.step)
-            .with_newton(self.newton)
-            .with_record(RecordMode::None);
-        let result = Transient::new(opts)
-            .run(&mut self.ckt)
-            .map_err(CellError::from)?;
-        self.step_stats += result.step_stats();
-        self.recovery_stats += result.recovery_stats();
-        self.solver_perf += result.solver_perf();
+        let opts = TransientOpts::new(timing.dt, t_total).with_record(RecordMode::None);
+        let result = self.solver.run(&mut self.ckt, opts, timing.step)?;
 
         // Collect outcomes.
         let mut polarizations = Vec::with_capacity(2 * self.width);
         let mut programmed_ok = true;
         for (i, handle) in self.cells.iter().enumerate() {
-            let (want1, want2) = crate::designs::FeFet2T::polarizations(word.get(i));
+            let (want1, want2) = FeFetTcam::polarizations(word.get(i));
             for (slot, want) in [(0usize, want1), (1, want2)] {
                 let p = self
                     .ckt
@@ -663,22 +597,12 @@ impl RowTestbench {
                 }
             }
         }
-        let e_sw_after: f64 = self
-            .fefet_devices()
-            .iter()
-            .map(|&d| {
-                self.ckt
-                    .device_ref::<FeFet>(d)
-                    .expect("fefet design")
-                    .switching_energy()
-            })
-            .sum();
         if programmed_ok {
             self.stored = word.clone();
         }
         Ok(WriteOutcome {
             energy_total: result.total_supply_energy(),
-            energy_switching: e_sw_after - e_sw_before,
+            energy_switching: self.switching_energy() - e_sw_before,
             latency: timing.latency(),
             programmed_ok,
             polarizations,
@@ -702,6 +626,19 @@ impl RowTestbench {
                 fefet.set_polarization(p_new);
             }
         }
+    }
+
+    /// Ferroelectric switching energy dissipated so far by every FeFET.
+    fn switching_energy(&self) -> f64 {
+        self.fefet_devices()
+            .iter()
+            .map(|&d| {
+                self.ckt
+                    .device_ref::<FeFet>(d)
+                    .expect("fefet design")
+                    .switching_energy()
+            })
+            .sum()
     }
 
     /// Device ids of all FeFETs in cell order (2 per cell), empty for
@@ -775,115 +712,16 @@ impl RowTestbench {
         v_slb: &[f64],
         timing: &SearchTiming,
     ) -> Result<SearchOutcome, CellError> {
-        if v_sl.len() != self.width || v_slb.len() != self.width {
-            return Err(CellError::WidthMismatch {
-                expected: self.width,
-                got: v_sl.len().min(v_slb.len()),
-            });
-        }
-        let vdd = self.card.vdd;
-        let threshold = self.design.sense_threshold(&self.card);
-        let t_cycle = timing.cycle();
-        let t_total = 2.0 * t_cycle;
+        self.check_width(v_sl.len())?;
+        self.check_width(v_slb.len())?;
         // Flat evaluation only (analog CAM rows are not segmented).
-        let seg = 0usize;
-        for (s, pin) in self.pre_pins.iter().enumerate() {
-            let wave = if s == seg {
-                two_cycle_pwl(
-                    [
-                        self.precharge.on_level(vdd),
-                        self.precharge.off_level(vdd),
-                        self.precharge.on_level(vdd),
-                        self.precharge.off_level(vdd),
-                    ],
-                    timing,
-                )
-            } else {
-                Waveform::dc(self.precharge.off_level(vdd))
-            };
-            self.ckt.set_pin_waveform(*pin, wave);
-        }
-        for i in 0..self.width {
-            self.ckt.set_pin_waveform(
-                self.sl_pins[i].0,
-                two_cycle_pwl([0.0, v_sl[i], 0.0, v_sl[i]], timing),
-            );
-            self.ckt.set_pin_waveform(
-                self.sl_pins[i].1,
-                two_cycle_pwl([0.0, v_slb[i], 0.0, v_slb[i]], timing),
-            );
-        }
-        if let Some(en) = self.en_pin {
-            self.ckt
-                .set_pin_waveform(en, two_cycle_pwl([0.0, vdd, 0.0, vdd], timing));
-        }
-        if let Some(wen) = self.wen_pin {
-            self.ckt.set_pin_waveform(wen, Waveform::dc(0.0));
-        }
-        let opts = TransientOpts::new(timing.dt, t_total)
-            .use_initial_conditions()
-            .with_step_control(timing.step)
-            .with_newton(self.newton)
-            .record_nodes([self.ml_nodes[seg]]);
-        let result = Transient::new(opts)
-            .run(&mut self.ckt)
-            .map_err(CellError::from)?;
-        self.step_stats += result.step_stats();
-        self.recovery_stats += result.recovery_stats();
-        self.solver_perf += result.solver_perf();
-        let ml = result.trace(&self.ml_names[seg]).map_err(CellError::from)?;
-        let eval_start = t_cycle + timing.t_precharge;
-        let t_sense = eval_start + timing.sense_offset;
-        let ml_at_sense = ml.value_at(t_sense);
-        let matched = ml_at_sense > threshold;
-        let latency = if matched {
-            timing.t_precharge + timing.sense_offset
-        } else {
-            let cross = ml
-                .cross_after(threshold, Edge::Falling, eval_start)
-                .unwrap_or(t_sense);
-            timing.t_precharge + (cross - eval_start).max(0.0)
-        };
-        let energy_total = result.total_supply_energy_in(t_cycle, t_total);
-        let energy_ml: f64 = (0..self.ml_nodes.len())
-            .map(|s| {
-                result
-                    .supply_energy_in(&format!("VPRE{s}"), t_cycle, t_total)
-                    .expect("pin exists")
-            })
-            .sum();
-        let energy_sl: f64 = (0..self.width)
-            .map(|i| {
-                result
-                    .supply_energy_in(&format!("SL{i}"), t_cycle, t_total)
-                    .expect("pin exists")
-                    + result
-                        .supply_energy_in(&format!("SLB{i}"), t_cycle, t_total)
-                        .expect("pin exists")
-            })
-            .sum();
-        let margin = if matched {
-            ml_at_sense - threshold
-        } else {
-            threshold - ml_at_sense
-        };
-        Ok(SearchOutcome {
-            matched,
-            latency,
-            energy_total,
-            energy_ctrl: energy_total - energy_ml - energy_sl,
-            energy_ml,
-            energy_sl,
-            sense_threshold: threshold,
-            sense_margin: margin,
-            stages: vec![StageOutcome {
-                segment: 0,
-                matched,
-                ml_at_sense,
-                latency,
-                energy: energy_total,
-            }],
-        })
+        let lines = v_sl
+            .iter()
+            .zip(v_slb)
+            .map(|(&sl, &slb)| (evaluate_pulse(sl, timing), evaluate_pulse(slb, timing)))
+            .collect();
+        let stage = self.stage(0, lines, timing)?;
+        Ok(self.fold(vec![stage]).0)
     }
 
     /// Exports the full testbench netlist as a SPICE deck (for inspection
@@ -904,9 +742,154 @@ fn clamp_params(card: &TechCard, geometry: &Geometry) -> MosfetParams {
     p
 }
 
+/// Builds match line `ml{index}` with the wire capacitance of `columns`
+/// cells, a `VPRE{index}` rail at the design's precharge voltage, and a
+/// precharge device clocked by pin `PREB{index}` (left idle). Returns the
+/// ML node and the clock pin.
+pub(crate) fn build_match_line(
+    ckt: &mut Circuit,
+    design: &dyn CellDesign,
+    card: &TechCard,
+    geometry: &Geometry,
+    precharge: PrechargeKind,
+    columns: usize,
+    index: usize,
+) -> Result<(NodeId, PinId), CellError> {
+    let ml = ckt.node(&format!("ml{index}"));
+    ckt.add_labeled(
+        format!("c_ml_wire{index}"),
+        Capacitor::new(
+            ml,
+            ckt.ground(),
+            geometry.ml_wire_cap(design.area_f2(), columns),
+        ),
+    );
+    let rail = ckt.node(&format!("vpre{index}"));
+    let v_pre = design.ml_precharge_voltage(card);
+    ckt.pin(rail, format!("VPRE{index}"), Waveform::dc(v_pre))?;
+    let clk = ckt.node(&format!("preb{index}"));
+    let idle = Waveform::dc(precharge.off_level(card.vdd));
+    let clock = ckt.pin(clk, format!("PREB{index}"), idle)?;
+    let params = match precharge {
+        PrechargeKind::Pmos => card.pmos.scaled(geometry.precharge_width_mult),
+        PrechargeKind::Nmos => card.nmos.scaled(geometry.precharge_width_mult),
+    };
+    // Drain on the rail, source on the ML for the PMOS orientation; the EKV
+    // model is source/drain symmetric so the distinction only matters for
+    // readability.
+    ckt.add_labeled(format!("m_pre{index}"), Mosfet::new(params, rail, clk, ml));
+    Ok((ml, clock))
+}
+
+/// Per-column `(SL, SLB)` driver pins and line nodes.
+type SearchLines = (Vec<(PinId, PinId)>, Vec<(NodeId, NodeId)>);
+
+/// Builds one SL/SLB pair per column: driver pin → driver resistance →
+/// line node loaded by `line_cap` to ground.
+pub(crate) fn build_search_lines(
+    ckt: &mut Circuit,
+    geometry: &Geometry,
+    width: usize,
+    line_cap: f64,
+) -> Result<SearchLines, CellError> {
+    let mut pins = Vec::with_capacity(width);
+    let mut nodes = Vec::with_capacity(width);
+    for i in 0..width {
+        let mut line = |tag: &str| -> Result<(PinId, NodeId), CellError> {
+            let drv = ckt.node(&format!("{tag}drv{i}"));
+            let node = ckt.node(&format!("{tag}{i}"));
+            let pin = ckt.pin(drv, format!("{}{i}", tag.to_uppercase()), Waveform::dc(0.0))?;
+            ckt.add_labeled(
+                format!("r_{tag}{i}"),
+                Resistor::new(drv, node, geometry.sl_driver_resistance),
+            );
+            ckt.add_labeled(
+                format!("c_{tag}wire{i}"),
+                Capacitor::new(node, NodeId::GROUND, line_cap),
+            );
+            Ok((pin, node))
+        };
+        let (sl_pin, sl) = line("sl")?;
+        let (slb_pin, slb) = line("slb")?;
+        pins.push((sl_pin, slb_pin));
+        nodes.push((sl, slb));
+    }
+    Ok((pins, nodes))
+}
+
+/// Builds one enable-gated footer per group of adjacent columns within each
+/// segment, labelled `{prefix}{first column}`, and returns every column's
+/// pull-down rail (ground without footers).
+pub(crate) fn build_footers(
+    ckt: &mut Circuit,
+    card: &TechCard,
+    geometry: &Geometry,
+    footer: FooterStyle,
+    segment_columns: &[Vec<usize>],
+    width: usize,
+    prefix: &str,
+) -> Vec<NodeId> {
+    let mut rails = vec![NodeId::GROUND; width];
+    if let FooterStyle::SharedPerGroup(group) = footer {
+        let en = ckt.node("en");
+        for columns in segment_columns {
+            for chunk in columns.chunks(group.max(1)) {
+                let rail = ckt.fresh_node("footer_rail");
+                let params = card.nmos.scaled(geometry.footer_width_mult);
+                ckt.add_labeled(
+                    format!("{prefix}{}", chunk[0]),
+                    Mosfet::new(params, rail, en, ckt.ground()),
+                );
+                for &col in chunk {
+                    rails[col] = rail;
+                }
+            }
+        }
+    }
+    rails
+}
+
+/// Supply energy drawn over `[t0, t1]` by the `rails` precharge rails and
+/// by the `width` SL/SLB drivers, as `(e_ml, e_sl)`.
+pub(crate) fn window_energies(
+    result: &TransientResult,
+    rails: usize,
+    width: usize,
+    t0: f64,
+    t1: f64,
+) -> (f64, f64) {
+    let energy = |pin: String| result.supply_energy_in(&pin, t0, t1).expect("pin exists");
+    let e_ml = (0..rails).map(|s| energy(format!("VPRE{s}"))).sum();
+    let e_sl = (0..width)
+        .map(|i| energy(format!("SL{i}")) + energy(format!("SLB{i}")))
+        .sum();
+    (e_ml, e_sl)
+}
+
+/// The SL/SLB waveforms that search for query digit `q`: pulsed during
+/// evaluation on return-to-zero designs, held otherwise.
+pub(crate) fn drive_digit(
+    design: &dyn CellDesign,
+    card: &TechCard,
+    q: Ternary,
+    timing: &SearchTiming,
+) -> (Waveform, Waveform) {
+    let (v_sl, v_slb) = design.sl_levels(q, card);
+    if design.features().sl_return_to_zero {
+        (evaluate_pulse(v_sl, timing), evaluate_pulse(v_slb, timing))
+    } else {
+        (Waveform::dc(v_sl), Waveform::dc(v_slb))
+    }
+}
+
+/// Low during both precharge phases and `v` during both evaluate phases.
+pub(crate) fn evaluate_pulse(v: f64, timing: &SearchTiming) -> Waveform {
+    two_cycle_pwl([0.0, v, 0.0, v], timing)
+}
+
 /// Builds a two-cycle piecewise-linear waveform over the four phases
 /// `[precharge₁, evaluate₁, precharge₂, evaluate₂]`.
-pub(crate) fn two_cycle_pwl(levels: [f64; 4], timing: &SearchTiming) -> Waveform {
+fn two_cycle_pwl(levels: [f64; 4], timing: &SearchTiming) -> Waveform {
     let tp = timing.t_precharge;
     let tc = timing.cycle();
     let e = timing.edge;
@@ -951,7 +934,7 @@ mod tests {
     #[test]
     fn segment_partition_is_balanced() {
         let row = RowTestbench::new(
-            Box::new(crate::designs::EaMlSegmented::new(3)),
+            Box::new(FeFetTcam::ml_segmented(3)),
             TechCard::hp45(),
             Geometry::default(),
             8,
@@ -972,5 +955,14 @@ mod tests {
         .unwrap();
         let err = row.program_word(&TernaryWord::all_x(5));
         assert!(matches!(err, Err(CellError::WidthMismatch { .. })));
+        // The analog search names the slice that has the wrong length.
+        let err = row.search_analog(&[0.0; 4], &[0.0; 5], &SearchTiming::default());
+        assert!(matches!(
+            err,
+            Err(CellError::WidthMismatch {
+                expected: 4,
+                got: 5
+            })
+        ));
     }
 }

@@ -1,7 +1,7 @@
 //! E8 / Fig. 8 — the low-swing knob: energy/delay/margin vs precharge
 //! fraction α (the design-space curve behind the EA-LS operating point).
 
-use ftcam_cells::{CellError, EaLowSwing};
+use ftcam_cells::{CellError, FeFetTcam};
 use ftcam_workloads::{Ternary, TernaryWord};
 
 use crate::report::{Artifact, Figure};
@@ -55,7 +55,7 @@ pub fn run(eval: &Evaluator, params: &Params) -> Result<Artifact, CellError> {
 
     // One job per α point — each point builds its own testbench.
     let points = eval.executor().run(&params.alphas, |_, &alpha| {
-        let mut row = eval.testbench_with(Box::new(EaLowSwing::new(alpha)), params.width)?;
+        let mut row = eval.testbench_with(Box::new(FeFetTcam::low_swing(alpha)), params.width)?;
         row.program_word(&stored)?;
         let hit = row.search(&stored, &timing)?;
         let missr = row.search(&miss, &timing)?;

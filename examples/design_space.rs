@@ -6,7 +6,7 @@
 //! cargo run --release --example design_space
 //! ```
 
-use ftcam::cells::{EaLowSwing, EaMlSegmented, RowTestbench, SearchTiming};
+use ftcam::cells::{FeFetTcam, RowTestbench, SearchTiming};
 use ftcam::devices::TechCard;
 use ftcam::workloads::{Ternary, TernaryWord};
 
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut best = (f64::INFINITY, 0.0);
     for alpha in [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0] {
         let mut row = RowTestbench::new(
-            Box::new(EaLowSwing::new(alpha)),
+            Box::new(FeFetTcam::low_swing(alpha)),
             card.clone(),
             Default::default(),
             width,
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for segments in [1usize, 2, 4, 8] {
         let mut row = RowTestbench::new(
-            Box::new(EaMlSegmented::new(segments)),
+            Box::new(FeFetTcam::ml_segmented(segments)),
             card.clone(),
             Default::default(),
             width,
