@@ -8,7 +8,7 @@ use ftcam_workloads::{TcamTable, TernaryWord};
 use crate::cost::{CostModel, Metering};
 use crate::index::PrefixIndex;
 use crate::query::PackedQuery;
-use crate::table::BitPlaneTable;
+use crate::table::{earlier, BitPlaneTable};
 
 /// Number of match-count buckets in [`EngineStats::match_hist`]; the last
 /// bucket collects queries with `>= MATCH_HIST_BUCKETS - 1` matches.
@@ -62,10 +62,7 @@ impl QueryOutcome {
     /// in ascending shard order so floating-point-free counts and the
     /// histograms merge deterministically.
     pub(crate) fn merge(&mut self, other: &QueryOutcome) {
-        self.first = match (self.first, other.first) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        self.first = earlier(self.first, other.first);
         self.matches += other.matches;
         self.sum_k += other.sum_k;
         if let Some(o) = &other.hist {
@@ -101,6 +98,16 @@ impl Shard {
         self.table.match_count(q)
     }
 
+    /// Priority match and match count from one routing and one scan.
+    fn first_and_count(&self, q: &PackedQuery) -> (Option<u32>, u64) {
+        if let Some(idx) = &self.index {
+            if let Some(hit) = idx.first_and_count(q) {
+                return hit;
+            }
+        }
+        self.table.first_and_count(q)
+    }
+
     pub(crate) fn lpm(&self, q: &PackedQuery) -> Option<(u32, u16)> {
         if let Some(idx) = &self.index {
             if let Some(hit) = idx.lpm(q) {
@@ -124,9 +131,10 @@ impl Shard {
                 hist: Some(hist),
             }
         } else {
+            let (first, matches) = self.first_and_count(q);
             QueryOutcome {
-                first: self.first_match(q),
-                matches: self.match_count(q),
+                first,
+                matches,
                 sum_k: self.table.sum_mismatches(q),
                 hist: None,
             }

@@ -11,12 +11,15 @@
 //! the top `K` fall back to the caller's full scan.
 //!
 //! Buckets store *global* row ids in ascending order, so priority and LPM
-//! semantics are identical to the full scan.
+//! semantics are identical to the full scan. Buckets and the shared
+//! sub-table are bare plane stores: the index replicates rows about 3×,
+//! and only the shard-level [`BitPlaneTable`](crate::BitPlaneTable)
+//! carries the row-major view and column counts that metering reads.
 
 use ftcam_workloads::{TcamTable, Ternary};
 
 use crate::query::PackedQuery;
-use crate::table::BitPlaneTable;
+use crate::table::{earlier, PlaneStore};
 
 /// Maximum number of wildcard digits in the top `K` a row may have and
 /// still be replicated into buckets (replication factor `2^bits`).
@@ -32,10 +35,10 @@ const TARGET_BUCKET_ROWS: usize = 64;
 #[derive(Debug, Clone)]
 pub struct PrefixIndex {
     stride: usize,
-    buckets: Vec<BitPlaneTable>,
+    buckets: Vec<PlaneStore>,
     /// Rows too wildcarded in the top `K` to replicate; scanned on every
     /// indexed lookup.
-    shared: BitPlaneTable,
+    shared: PlaneStore,
 }
 
 impl PrefixIndex {
@@ -84,12 +87,12 @@ impl PrefixIndex {
         }
         let buckets = bucket_ids
             .into_iter()
-            .map(|ids| BitPlaneTable::from_row_ids(table, ids))
+            .map(|ids| PlaneStore::from_row_ids(table, ids))
             .collect();
         Some(Self {
             stride,
             buckets,
-            shared: BitPlaneTable::from_row_ids(table, shared_ids),
+            shared: PlaneStore::from_row_ids(table, shared_ids),
         })
     }
 
@@ -98,28 +101,34 @@ impl PrefixIndex {
         self.stride
     }
 
-    /// The bucket + shared sub-tables covering `q`, or `None` when the
-    /// query has a wildcard in the top `K` digits (caller must full-scan).
+    /// The bucket covering `q` (scanned together with the shared
+    /// sub-table), or `None` when the query has a wildcard in the top `K`
+    /// digits (caller must full-scan).
     #[inline]
-    fn route(&self, q: &PackedQuery) -> Option<&BitPlaneTable> {
+    fn route(&self, q: &PackedQuery) -> Option<&PlaneStore> {
         q.top_value(self.stride).map(|key| &self.buckets[key])
     }
 
     /// Indexed priority search; `None` means "not routable, full-scan".
     pub fn first_match(&self, q: &PackedQuery) -> Option<Option<u32>> {
         let bucket = self.route(q)?;
-        let a = bucket.first_match(q);
-        let b = self.shared.first_match(q);
-        Some(match (a, b) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, y) => x.or(y),
-        })
+        Some(earlier(bucket.first_match(q), self.shared.first_match(q)))
     }
 
     /// Indexed match count; `None` means "not routable, full-scan".
     pub fn match_count(&self, q: &PackedQuery) -> Option<u64> {
         let bucket = self.route(q)?;
         Some(bucket.match_count(q) + self.shared.match_count(q))
+    }
+
+    /// Indexed `(first_match, match_count)` from one routing and one scan
+    /// of the bucket and shared sub-table; `None` means "not routable,
+    /// full-scan".
+    pub fn first_and_count(&self, q: &PackedQuery) -> Option<(Option<u32>, u64)> {
+        let bucket = self.route(q)?;
+        let (a, na) = bucket.first_and_count(q);
+        let (b, nb) = self.shared.first_and_count(q);
+        Some((earlier(a, b), na + nb))
     }
 
     /// Indexed LPM; `None` means "not routable, full-scan".
@@ -143,6 +152,7 @@ impl PrefixIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::BitPlaneTable;
     use ftcam_workloads::TernaryWord;
 
     fn prefix_table(rows: usize, width: usize) -> TcamTable {
@@ -165,6 +175,11 @@ mod tests {
             let q = PackedQuery::from_word(&TernaryWord::from_bits(v, 16));
             assert_eq!(idx.first_match(&q), Some(full.first_match(&q)), "v={v}");
             assert_eq!(idx.match_count(&q), Some(full.match_count(&q)), "v={v}");
+            assert_eq!(
+                idx.first_and_count(&q),
+                Some(full.first_and_count(&q)),
+                "v={v}"
+            );
             assert_eq!(idx.lpm(&q), Some(full.lpm(&q)), "v={v}");
         }
     }

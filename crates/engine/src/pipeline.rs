@@ -1,14 +1,14 @@
 //! Batched, sharded replay through the `ftcam-core` executor.
 //!
 //! The stream is processed in batches. Per batch, packing and search-line
-//! toggle tracking run serially (toggles are a stream property — they chain
-//! across batch boundaries through the previous query). The per-shard table
-//! scans — the `O(rows)` part — fan out through
-//! [`Executor`], one job per shard, and the per-query
-//! partial outcomes are merged **in shard order** and recorded **in query
-//! order**, so the accumulated [`EngineStats`] are bit-identical to a
-//! serial [`crate::ReplaySession`] for every thread count; only
-//! `wall_nanos` differs.
+//! toggle tracking run serially (toggles are a stream property — each query
+//! chains against the previous element of the batch, and the batch's last
+//! query carries over to the next batch). The per-shard table scans — the
+//! `O(rows)` part — fan out through [`Executor`], one job per shard, and
+//! the per-query partial outcomes are merged **in shard order** and
+//! recorded **in query order**, so the accumulated [`EngineStats`] are
+//! bit-identical to a serial [`crate::ReplaySession`] for every thread
+//! count; only `wall_nanos` differs.
 
 use std::convert::Infallible;
 use std::time::Instant;
@@ -39,13 +39,14 @@ pub fn replay(
     let mut prev: Option<PackedQuery> = None;
     let mut base = 0u64;
     for chunk in queries.chunks(batch) {
-        // Serial prologue: pack the batch and chain toggles through `prev`.
-        let packed: Vec<PackedQuery> = chunk.iter().map(PackedQuery::from_word).collect();
-        let mut toggles = Vec::with_capacity(packed.len());
-        for q in &packed {
-            toggles.push(q.toggles_from(prev.as_ref()));
-            prev = Some(q.clone());
-        }
+        // Serial prologue: pack the batch and chain toggles through `prev`
+        // and then each query's predecessor in the batch.
+        let mut packed: Vec<PackedQuery> = chunk.iter().map(PackedQuery::from_word).collect();
+        let toggles: Vec<u32> = std::iter::once(prev.as_ref())
+            .chain(packed.iter().map(Some))
+            .zip(&packed)
+            .map(|(p, q)| q.toggles_from(p))
+            .collect();
         // Fan out: one job per shard, each scanning the whole batch.
         let result: Result<Vec<Vec<QueryOutcome>>, Infallible> = exec.run(&shard_ids, |_, &s| {
             let shard = &shards[s];
@@ -76,6 +77,7 @@ pub fn replay(
             );
         }
         base += chunk.len() as u64;
+        prev = packed.pop();
     }
     stats.wall_nanos = started.elapsed().as_nanos() as u64;
     stats

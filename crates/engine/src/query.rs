@@ -3,9 +3,22 @@
 //! A ternary query of `W` digits packs into two bitmasks — `care` (digit is
 //! definite) and `pattern` (digit is `1`) — plus per-column broadcast masks
 //! (`0` or `!0`) that the column kernels consume directly, so the inner
-//! match loop is pure `u64` logic with no per-digit branching.
+//! match loop is pure `u64` logic with no per-digit branching. All four
+//! live in one buffer, so packing a query is one allocation.
 
 use ftcam_workloads::{Ternary, TernaryWord};
+
+/// Words in a compact mask of `width` digits (at least one).
+#[inline]
+pub(crate) fn mask_words(width: usize) -> usize {
+    width.div_ceil(64).max(1)
+}
+
+/// Word index and bit of digit `j` in a compact mask.
+#[inline]
+pub(crate) fn mask_bit(j: usize) -> (usize, u64) {
+    (j / 64, 1 << (j % 64))
+}
 
 /// A query word packed for the bit-plane kernels.
 ///
@@ -15,47 +28,45 @@ use ftcam_workloads::{Ternary, TernaryWord};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedQuery {
     width: usize,
-    /// Compact mask: bit set where the digit is definite (not `X`).
-    care: Vec<u64>,
-    /// Compact mask: bit set where the digit is `1` (subset of `care`).
-    pattern: Vec<u64>,
-    /// Per-column broadcast of the care bit (`0` or `!0`).
-    care_bcast: Vec<u64>,
-    /// Per-column broadcast of the pattern bit (`0` or `!0`).
-    pattern_bcast: Vec<u64>,
+    /// Words per compact mask (`ceil(width / 64)`, at least 1).
+    words: usize,
+    /// `[care; words]`, then `[pattern; words]`, then one
+    /// `(care, pattern)` broadcast pair per column. Compact `care` has a
+    /// bit set where the digit is definite, compact `pattern` where it is
+    /// `1` (a subset of `care`); the broadcasts are `0` or `!0`.
+    buf: Vec<u64>,
 }
 
 impl PackedQuery {
     /// Packs a ternary word.
     pub fn from_word(word: &TernaryWord) -> Self {
         let width = word.width();
-        let words = width.div_ceil(64).max(1);
-        let mut care = vec![0u64; words];
-        let mut pattern = vec![0u64; words];
-        let mut care_bcast = vec![0u64; width];
-        let mut pattern_bcast = vec![0u64; width];
-        for (j, &d) in word.digits().iter().enumerate() {
+        let words = mask_words(width);
+        let mut buf = vec![0u64; 2 * words + 2 * width];
+        let (compact, bcast) = buf.split_at_mut(2 * words);
+        let (care, pattern) = compact.split_at_mut(words);
+        for ((j, &d), b) in word
+            .digits()
+            .iter()
+            .enumerate()
+            .zip(bcast.chunks_exact_mut(2))
+        {
+            let (w, bit) = mask_bit(j);
             match d {
                 Ternary::X => {}
                 Ternary::Zero => {
-                    care[j / 64] |= 1 << (j % 64);
-                    care_bcast[j] = !0;
+                    care[w] |= bit;
+                    b[0] = !0;
                 }
                 Ternary::One => {
-                    care[j / 64] |= 1 << (j % 64);
-                    pattern[j / 64] |= 1 << (j % 64);
-                    care_bcast[j] = !0;
-                    pattern_bcast[j] = !0;
+                    care[w] |= bit;
+                    pattern[w] |= bit;
+                    b[0] = !0;
+                    b[1] = !0;
                 }
             }
         }
-        Self {
-            width,
-            care,
-            pattern,
-            care_bcast,
-            pattern_bcast,
-        }
+        Self { width, words, buf }
     }
 
     /// Query width in digits.
@@ -63,33 +74,52 @@ impl PackedQuery {
         self.width
     }
 
+    /// Compact care mask: bit `j % 64` of word `j / 64` set where digit `j`
+    /// is definite.
+    #[inline]
+    pub(crate) fn care_words(&self) -> &[u64] {
+        &self.buf[..self.words]
+    }
+
+    /// Compact pattern mask: bit set where the digit is `1`.
+    #[inline]
+    pub(crate) fn pattern_words(&self) -> &[u64] {
+        &self.buf[self.words..2 * self.words]
+    }
+
+    /// The `(care, pattern)` broadcast pairs, two words per column.
+    #[inline]
+    pub(crate) fn column_masks(&self) -> &[u64] {
+        &self.buf[2 * self.words..]
+    }
+
     /// Number of definite (non-`X`) digits.
     pub fn definite_count(&self) -> u32 {
-        self.care.iter().map(|w| w.count_ones()).sum()
+        self.care_words().iter().map(|w| w.count_ones()).sum()
     }
 
     /// Broadcast care mask for column `col` (`0` or `!0`).
     #[inline]
     pub fn care_mask(&self, col: usize) -> u64 {
-        self.care_bcast[col]
+        self.column_masks()[2 * col]
     }
 
     /// Broadcast pattern mask for column `col` (`0` or `!0`).
     #[inline]
     pub fn pattern_mask(&self, col: usize) -> u64 {
-        self.pattern_bcast[col]
+        self.column_masks()[2 * col + 1]
     }
 
     /// `true` if column `col` is definite.
     #[inline]
     pub fn is_definite(&self, col: usize) -> bool {
-        self.care_bcast[col] != 0
+        self.care_mask(col) != 0
     }
 
     /// `true` if column `col` is a definite `1`.
     #[inline]
     pub fn bit(&self, col: usize) -> bool {
-        self.pattern_bcast[col] != 0
+        self.pattern_mask(col) != 0
     }
 
     /// Search-line pair transitions against the previous query of a stream,
@@ -102,16 +132,16 @@ impl PackedQuery {
             return self.definite_count();
         };
         debug_assert_eq!(self.width, prev.width);
-        let mut toggles = 0u32;
-        for i in 0..self.care.len() {
-            // SL is driven high on a definite 1, SLB on a definite 0.
-            let sl_c = self.care[i] & self.pattern[i];
-            let slb_c = self.care[i] & !self.pattern[i];
-            let sl_p = prev.care[i] & prev.pattern[i];
-            let slb_p = prev.care[i] & !prev.pattern[i];
-            toggles += ((sl_c ^ sl_p) | (slb_c ^ slb_p)).count_ones();
-        }
-        toggles
+        let cur = self.care_words().iter().zip(self.pattern_words());
+        let old = prev.care_words().iter().zip(prev.pattern_words());
+        cur.zip(old)
+            .map(|((&c, &p), (&pc, &pp))| {
+                // SL is driven high on a definite 1, SLB on a definite 0.
+                let (sl_c, slb_c) = (c & p, c & !p);
+                let (sl_p, slb_p) = (pc & pp, pc & !pp);
+                ((sl_c ^ sl_p) | (slb_c ^ slb_p)).count_ones()
+            })
+            .sum()
     }
 
     /// The value of the top `k` digits (most significant first), or `None`
@@ -119,11 +149,11 @@ impl PackedQuery {
     pub fn top_value(&self, k: usize) -> Option<usize> {
         debug_assert!(k <= self.width);
         let mut value = 0usize;
-        for j in 0..k {
-            if self.care_bcast[j] == 0 {
+        for m in self.column_masks()[..2 * k].chunks_exact(2) {
+            if m[0] == 0 {
                 return None;
             }
-            value = (value << 1) | usize::from(self.pattern_bcast[j] != 0);
+            value = (value << 1) | usize::from(m[1] != 0);
         }
         Some(value)
     }
