@@ -14,7 +14,11 @@
 //! * step-count regressions — accepted transient steps growing more than
 //!   [`TOLERANCE`] over the baseline means stepping or recovery changed;
 //! * factorisation regressions — LU factorisation counts growing more
-//!   than [`TOLERANCE`] means the reuse/chord guards got weaker.
+//!   than [`TOLERANCE`] means the reuse/chord guards got weaker;
+//! * sparse-path regressions — every system starts on the sparse LU, so
+//!   dense demotions beyond the baseline's count (zero, which the
+//!   [`TOLERANCE`] margin leaves at zero) mean some system now runs on
+//!   dense partial pivoting instead.
 //!
 //! Wall-clock is deliberately *not* gated: CI machines are too noisy.
 //! The counters are deterministic, so a 20% margin only absorbs genuine
@@ -67,6 +71,11 @@ fn run(current: &BenchReport, baseline: &BenchReport) -> bool {
         "LU factorisations",
         cur_solver.factorizations,
         base_solver.factorizations,
+    );
+    ok &= check_growth(
+        "dense demotions",
+        current.total_recovery().dense_demotions,
+        baseline.total_recovery().dense_demotions,
     );
     println!(
         "info wall-clock (not gated): {:.2} s vs baseline {:.2} s",

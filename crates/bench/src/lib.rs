@@ -52,6 +52,15 @@ impl BenchReport {
         self.records.iter().map(|r| r.wall_nanos).sum()
     }
 
+    /// Summed recovery-ladder statistics across all records.
+    pub fn total_recovery(&self) -> RecoveryStats {
+        let mut total = RecoveryStats::default();
+        for r in &self.records {
+            total += r.recovery;
+        }
+        total
+    }
+
     /// Summed step statistics across all records.
     pub fn total_steps(&self) -> StepStats {
         let mut total = StepStats::default();

@@ -72,13 +72,14 @@ struct Stage {
 }
 
 /// The Newton settings a testbench applies to every transient it runs, and
-/// the solver counters accumulated over all of them.
+/// the solver counters and worst KCL residual over all of them.
 #[derive(Debug, Default)]
 pub(crate) struct Solver {
     pub(crate) newton: NewtonSettings,
     pub(crate) step_stats: StepStats,
     pub(crate) recovery_stats: RecoveryStats,
     pub(crate) solver_perf: SolverPerf,
+    pub(crate) max_kcl_residual: f64,
 }
 
 impl Solver {
@@ -98,6 +99,7 @@ impl Solver {
         self.step_stats += result.step_stats();
         self.recovery_stats += result.recovery_stats();
         self.solver_perf += result.solver_perf();
+        self.max_kcl_residual = self.max_kcl_residual.max(result.max_kcl_residual());
         Ok(result)
     }
 }
@@ -280,6 +282,12 @@ impl RowTestbench {
     /// baseline reuses, ...) over every operation this testbench has run.
     pub fn solver_perf(&self) -> SolverPerf {
         self.solver.solver_perf
+    }
+
+    /// Largest KCL residual (amps) at any free node, over every accepted
+    /// step of every operation this testbench has run.
+    pub fn max_kcl_residual(&self) -> f64 {
+        self.solver.max_kcl_residual
     }
 
     /// The Newton solver settings applied to every transient this

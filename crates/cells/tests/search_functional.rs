@@ -232,3 +232,26 @@ fn mismatch_count_speeds_discharge() {
         "8-bit mismatch ({t8:.3e}) should be faster than 1-bit ({t1:.3e})"
     );
 }
+
+/// Kirchhoff's current law holds at every free node of a real testbench:
+/// the measure pass re-evaluates each device at the converged point, so
+/// the net current left at a free node is only what the Newton tolerance
+/// leaves over — about 80 µV (reltol 1e-4 of the 0.8 V swing) across
+/// millisiemens node conductances, i.e. ~1e-7 A against the ~100 µA
+/// currents of a search. An assembly that disagrees with the measure
+/// pass, or a linear solve that lost accuracy, leaves far more.
+#[test]
+fn width16_searches_satisfy_kcl() {
+    let stored: TernaryWord = "10X1011X0110X101".parse().unwrap();
+    let hit: TernaryWord = "1011011001101101".parse().unwrap();
+    let timing = SearchTiming::fast();
+    for kind in [DesignKind::FeFet2T, DesignKind::Cmos16T] {
+        let mut row = row(kind, 16);
+        row.program_word(&stored).unwrap();
+        for query in [hit.clone(), hit.with_mismatches(1), hit.with_mismatches(4)] {
+            row.search(&query, &timing).unwrap();
+        }
+        let kcl = row.max_kcl_residual();
+        assert!(kcl > 0.0 && kcl < 5e-7, "{kind}: KCL residual {kcl:.3e} A");
+    }
+}

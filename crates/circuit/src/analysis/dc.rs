@@ -217,6 +217,7 @@ fn package(circuit: &Circuit, vars: &VarMap, x: &[f64], iterations: usize) -> Dc
         .collect();
 
     let mut current_out = vec![0.0; circuit.node_count()];
+    let mut power = vec![0.0; circuit.device_count()];
     newton::measure_currents(
         circuit,
         vars,
@@ -226,6 +227,7 @@ fn package(circuit: &Circuit, vars: &VarMap, x: &[f64], iterations: usize) -> Dc
         None,
         IntegrationMethod::BackwardEuler,
         &mut current_out,
+        &mut power,
     );
     let pin_currents = circuit
         .pins

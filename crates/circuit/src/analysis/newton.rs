@@ -199,10 +199,9 @@ struct FactorKey {
 
 /// Reusable buffers for the Newton iteration (avoids per-step allocation).
 ///
-/// The system matrix backend is picked from the unknown count: dense
-/// partial-pivot LU for small systems, sparse no-pivot LU (with symbolic
-/// reuse and automatic dense fallback) for large ones — see
-/// [`crate::linalg::SystemMatrix`]. Beyond the matrix and vectors this
+/// The system matrix starts on the sparse LU (symbolic reuse, pivot
+/// threshold, dense partial-pivot fallback) whatever the unknown count —
+/// see [`crate::linalg::SystemMatrix`]. Beyond the matrix and vectors this
 /// carries the hot-path state that persists across calls: the
 /// static/dynamic device partition, the baseline snapshot, and the
 /// frozen-factor bookkeeping.
@@ -234,7 +233,7 @@ pub(crate) struct NewtonWorkspace {
 impl NewtonWorkspace {
     pub fn new(n: usize) -> Self {
         Self {
-            matrix: SystemMatrix::auto(n),
+            matrix: SystemMatrix::new(n),
             rhs: vec![0.0; n],
             x_new: vec![0.0; n],
             perf: SolverPerf::default(),
@@ -276,6 +275,7 @@ fn assemble_pass(
             time,
             dt,
             method,
+            device: 0,
         };
         for &idx in indices {
             circuit.devices[idx].stamp(&mut ctx);
@@ -543,7 +543,8 @@ pub(crate) fn solve(
 }
 
 /// Runs the measure pass at the converged solution, filling `current_out`
-/// (net current leaving each node into devices, indexed by node).
+/// (net current leaving each node into devices, indexed by node) and
+/// `power` (dissipation reported by each device, indexed by device).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn measure_currents(
     circuit: &Circuit,
@@ -554,18 +555,22 @@ pub(crate) fn measure_currents(
     dt: Option<f64>,
     method: IntegrationMethod,
     current_out: &mut [f64],
+    power: &mut [f64],
 ) {
     current_out.fill(0.0);
+    power.fill(0.0);
     let mut ctx = StampCtx {
-        mode: StampMode::Measure { current_out },
+        mode: StampMode::Measure { current_out, power },
         vars,
         x,
         pinned,
         time,
         dt,
         method,
+        device: 0,
     };
-    for dev in &circuit.devices {
+    for (d, dev) in circuit.devices.iter().enumerate() {
+        ctx.device = d;
         dev.stamp(&mut ctx);
     }
 }
@@ -577,14 +582,14 @@ mod tests {
     use crate::stamp::CommitCtx;
     use crate::waveform::Waveform;
 
-    /// An RC ladder wide enough to land on the sparse backend, with a
-    /// diode so the nonlinear (chord) path engages.
+    /// A 64-rung RC ladder (every size starts on the sparse backend), with
+    /// a diode so the nonlinear (chord) path engages.
     fn wide_ladder() -> Circuit {
         let mut ckt = Circuit::new();
         let rail = ckt.node("rail");
         ckt.pin(rail, "VDD", Waveform::dc(1.0)).expect("pin");
         let mut prev = rail;
-        for i in 0..crate::linalg::SPARSE_THRESHOLD {
+        for i in 0..64 {
             let n = ckt.node(&format!("s{i}"));
             ckt.add(Resistor::new(prev, n, 1e3));
             ckt.add(Capacitor::new(n, ckt.ground(), 1e-15));

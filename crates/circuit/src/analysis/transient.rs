@@ -439,7 +439,8 @@ fn recover_step(
 /// In both policies a *measure* pass runs after every accepted step —
 /// before device state is committed, so companion models still see the
 /// previous state — recovering the current delivered by each pinned source
-/// and integrating per-source energy.
+/// and the power each device dissipates, and integrating per-source and
+/// per-device energy.
 ///
 /// See the crate-level example and [`TransientOpts`] for usage; accepted /
 /// rejected / iteration counts are reported via
@@ -514,18 +515,16 @@ impl Transient {
                 true
             }
         };
-        {
-            let ctx = CommitCtx {
-                vars: &vars,
-                x: &x,
-                pinned: &pinned,
-                time: 0.0,
-                dt: None,
-                method: opts.method,
-            };
-            for dev in circuit.devices.iter_mut() {
-                dev.init(&ctx, uic);
-            }
+        let ctx0 = CommitCtx {
+            vars: &vars,
+            x: &x,
+            pinned: &pinned,
+            time: 0.0,
+            dt: None,
+            method: opts.method,
+        };
+        for dev in circuit.devices.iter_mut() {
+            dev.init(&ctx0, uic);
         }
 
         // --- Recording setup ----------------------------------------------
@@ -539,6 +538,7 @@ impl Transient {
         let n_devices = circuit.device_count();
         let mut current_out = vec![0.0; circuit.node_count()];
         let mut pin_power_prev = vec![0.0; n_pins];
+        let mut device_power = vec![0.0; n_devices];
         let mut device_power_prev = vec![0.0; n_devices];
         let mut pin_energy = vec![0.0; n_pins];
         let mut device_energy = vec![0.0; n_devices];
@@ -556,26 +556,14 @@ impl Transient {
             None,
             opts.method,
             &mut current_out,
+            &mut device_power_prev,
         );
         for (p, pin) in circuit.pins.iter().enumerate() {
             let i = current_out[pin.node.index()];
             pin_power_prev[p] = pinned[p] * i;
             store.push_pin(p, i, pin_power_prev[p]);
         }
-        {
-            let ctx = CommitCtx {
-                vars: &vars,
-                x: &x,
-                pinned: &pinned,
-                time: 0.0,
-                dt: None,
-                method: opts.method,
-            };
-            for (d, dev) in circuit.devices.iter().enumerate() {
-                device_power_prev[d] = dev.dissipated_power(&ctx).unwrap_or(0.0);
-            }
-            store.push_sample(0.0, &ctx, &pin_energy);
-        }
+        store.push_sample(0.0, &ctx0, &pin_energy);
 
         // --- Time stepping --------------------------------------------------
         let breakpoints = circuit.collect_breakpoints(opts.t_stop);
@@ -714,7 +702,9 @@ impl Transient {
             let x_accepted_prev = std::mem::replace(&mut x, x_try);
 
             // Measure pass BEFORE commit: companion models must still see
-            // the previous state so capacitor/FeFET currents are exact.
+            // the previous state so capacitor/FeFET currents are exact. The
+            // same pass reports each device's dissipation at the accepted
+            // point (FeFETs at the pre-commit polarization).
             newton::measure_currents(
                 circuit,
                 &vars,
@@ -724,13 +714,18 @@ impl Transient {
                 Some(dt),
                 opts.method,
                 &mut current_out,
+                &mut device_power,
             );
             for (idx, kind) in vars.kinds.iter().enumerate() {
                 if matches!(kind, VarKind::Free(_)) {
                     max_kcl = max_kcl.max(current_out[idx].abs());
                 }
             }
-            // Commit device state, then account energies at the new state.
+            for (d, &power) in device_power.iter().enumerate() {
+                device_energy[d] += 0.5 * (device_power_prev[d] + power) * dt;
+            }
+            std::mem::swap(&mut device_power, &mut device_power_prev);
+            // Commit device state, then account supply energies.
             {
                 let ctx = CommitCtx {
                     vars: &vars,
@@ -757,27 +752,12 @@ impl Transient {
                         cur_dt = cur_dt.min(hint.max(opts.dt));
                     }
                 }
-            }
-            {
-                let ctx = CommitCtx {
-                    vars: &vars,
-                    x: &x,
-                    pinned: &pinned,
-                    time: t_next,
-                    dt: Some(dt),
-                    method: opts.method,
-                };
                 for (p, pin) in circuit.pins.iter().enumerate() {
                     let i = current_out[pin.node.index()];
                     let power = pinned[p] * i;
                     pin_energy[p] += 0.5 * (pin_power_prev[p] + power) * dt;
                     pin_power_prev[p] = power;
                     store.push_pin(p, i, power);
-                }
-                for (d, dev) in circuit.devices.iter().enumerate() {
-                    let power = dev.dissipated_power(&ctx).unwrap_or(0.0);
-                    device_energy[d] += 0.5 * (device_power_prev[d] + power) * dt;
-                    device_power_prev[d] = power;
                 }
                 store.push_sample(t_next, &ctx, &pin_energy);
             }

@@ -57,10 +57,13 @@ pub enum StampClass {
 ///
 /// 1. [`Device::stamp`] — called on every Newton iteration (and once more in
 ///    *measure* mode after convergence). The device reads candidate node
-///    voltages from the [`StampCtx`] and contributes conductances, (trans-)
-///    conductances and equivalent current sources. Using the same method for
-///    assembly and measurement guarantees the measured terminal currents are
-///    exactly the converged model currents.
+///    voltages from the [`StampCtx`] and contributes conductances,
+///    element-local blocks ([`StampCtx::stamp_local`]) and equivalent
+///    current sources. Using the same method for assembly and measurement
+///    guarantees the measured terminal currents are exactly the converged
+///    model currents. Lossy devices also report their dissipation through
+///    [`StampCtx::dissipate`]; the transient engine integrates it into the
+///    per-device energy report.
 /// 2. [`Device::commit`] — called once per accepted time step so the device
 ///    can update internal state (capacitor charge, ferroelectric
 ///    polarization, ...).
@@ -125,16 +128,6 @@ pub trait Device: Any + std::fmt::Debug + Send {
     /// dynamic regardless of this hint.
     fn stamp_class(&self) -> StampClass {
         StampClass::Dynamic
-    }
-
-    /// Instantaneous dissipated power (watts) at the committed solution.
-    ///
-    /// Return `None` for lossless devices (capacitors) and for devices whose
-    /// dissipation is accounted elsewhere. The transient engine integrates
-    /// this into the per-device energy report.
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let _ = ctx;
-        None
     }
 
     /// Slope-discontinuity instants of any internal waveform in `[0, t_stop]`.

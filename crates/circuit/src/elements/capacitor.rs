@@ -114,9 +114,8 @@ impl Device for Capacitor {
         let Some(dt) = ctx.dt() else {
             return; // open circuit in DC
         };
-        let (geq, ieq) = self.companion(dt, ctx.method());
-        ctx.stamp_conductance(self.a, self.b, geq);
-        ctx.stamp_current(self.a, self.b, ieq);
+        let (g, ieq) = self.companion(dt, ctx.method());
+        ctx.stamp_local([self.a, self.b], |_| ([[g, -g], [-g, g]], [ieq, -ieq]));
     }
 
     // The companion conductance C/dt (or 2C/dt) depends only on (dt,

@@ -2,7 +2,7 @@
 
 use crate::device::{Device, StampClass};
 use crate::node::NodeId;
-use crate::stamp::{CommitCtx, StampCtx};
+use crate::stamp::StampCtx;
 
 /// An exponential (Shockley) diode.
 ///
@@ -83,11 +83,16 @@ impl Device for Diode {
     }
 
     fn stamp(&self, ctx: &mut StampCtx<'_>) {
-        let v = ctx.v(self.anode) - ctx.v(self.cathode);
-        let (i, g) = self.current_and_conductance(v);
-        // Companion: i(v*) + g·(v − v*) = g·v + (i − g·v*).
-        ctx.stamp_conductance(self.anode, self.cathode, g);
-        ctx.stamp_current(self.anode, self.cathode, i - g * v);
+        let mut power = 0.0;
+        ctx.stamp_local([self.anode, self.cathode], |[va, vc]| {
+            let v = va - vc;
+            let (i, g) = self.current_and_conductance(v);
+            power = i * v;
+            // Companion: i(v*) + g·(v − v*) = g·v + (i − g·v*).
+            let ieq = i - g * v;
+            ([[g, -g], [-g, g]], [ieq, -ieq])
+        });
+        ctx.dissipate(power);
     }
 
     fn is_nonlinear(&self) -> bool {
@@ -96,12 +101,6 @@ impl Device for Diode {
 
     fn stamp_class(&self) -> StampClass {
         StampClass::Dynamic
-    }
-
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let v = ctx.v(self.anode) - ctx.v(self.cathode);
-        let (i, _) = self.current_and_conductance(v);
-        Some(i * v)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::device::{Device, StampClass};
 use crate::node::NodeId;
-use crate::stamp::{CommitCtx, StampCtx};
+use crate::stamp::StampCtx;
 
 /// A linear resistor between two nodes.
 ///
@@ -66,6 +66,8 @@ impl Resistor {
 impl Device for Resistor {
     fn stamp(&self, ctx: &mut StampCtx<'_>) {
         ctx.stamp_conductance(self.a, self.b, self.conductance);
+        let v = ctx.v(self.a) - ctx.v(self.b);
+        ctx.dissipate(self.conductance * v * v);
     }
 
     fn stamp_class(&self) -> StampClass {
@@ -79,11 +81,6 @@ impl Device for Resistor {
             names(self.b),
             crate::format_spice_number(self.resistance())
         ))
-    }
-
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let v = ctx.v(self.a) - ctx.v(self.b);
-        Some(self.conductance * v * v)
     }
 }
 

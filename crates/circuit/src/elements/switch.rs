@@ -2,7 +2,7 @@
 
 use crate::device::{Device, StampClass};
 use crate::node::NodeId;
-use crate::stamp::{CommitCtx, StampCtx};
+use crate::stamp::StampCtx;
 
 /// A resistive switch whose state follows a fixed time schedule.
 ///
@@ -103,17 +103,15 @@ impl Device for TimedSwitch {
     }
 
     fn stamp(&self, ctx: &mut StampCtx<'_>) {
-        ctx.stamp_conductance(self.a, self.b, self.conductance_at(ctx.time()));
+        let g = self.conductance_at(ctx.time());
+        ctx.stamp_conductance(self.a, self.b, g);
+        let v = ctx.v(self.a) - ctx.v(self.b);
+        ctx.dissipate(g * v * v);
     }
 
     // g(t) moves with time but never with the candidate solution.
     fn stamp_class(&self) -> StampClass {
         StampClass::TimeVarying
-    }
-
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let v = ctx.v(self.a) - ctx.v(self.b);
-        Some(self.conductance_at(ctx.time()) * v * v)
     }
 
     fn breakpoints(&self, t_stop: f64) -> Vec<f64> {

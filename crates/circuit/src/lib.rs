@@ -45,11 +45,12 @@
 //!
 //! # Design notes
 //!
-//! The solver uses a dense LU factorisation with partial pivoting. TCAM
-//! testbenches pin all drivers and supplies, leaving at most a few hundred
-//! unknowns, where dense linear algebra is both exact and fast; a sparse
-//! solver would add complexity with no benefit at this scale (see
-//! `DESIGN.md` §5).
+//! Every MNA system is solved by a sparse LU with a fixed degree
+//! ordering and a row-wise pivot threshold ([`linalg::SystemMatrix`]). TCAM
+//! testbenches pin all drivers and supplies, leaving a few dozen to a few
+//! hundred unknowns with a handful of nonzeros per row; a pivot the fixed
+//! ordering cannot trust demotes the system to dense LU with partial
+//! pivoting (see `DESIGN.md` §5).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -120,18 +120,6 @@ impl DenseMatrix {
         self.data[slot] += value;
     }
 
-    /// Computes `y = A·x` from the stamped values (not the factors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` does not have length `n`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n);
-        let mut y = vec![0.0; self.n];
-        self.mul_vec_into(x, &mut y);
-        y
-    }
-
     /// Computes `y = A·x` into a caller-provided buffer.
     ///
     /// # Panics
@@ -322,7 +310,8 @@ mod tests {
             let b: Vec<f64> = (0..n).map(|_| next()).collect();
             let mut x = b.clone();
             a.solve_in_place(&mut x).unwrap();
-            let bx = a.mul_vec(&x);
+            let mut bx = vec![0.0; n];
+            a.mul_vec_into(&x, &mut bx);
             for (lhs, rhs) in bx.iter().zip(&b) {
                 assert!((lhs - rhs).abs() < 1e-9, "n = {n}: {lhs} vs {rhs}");
             }

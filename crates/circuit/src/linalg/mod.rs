@@ -1,6 +1,7 @@
-//! Linear algebra for MNA systems: dense partial-pivot LU, sparse no-pivot
-//! LU with reusable symbolic factorisation, and the [`SystemMatrix`]
-//! dispatcher that picks between them and counts sparse→dense demotions.
+//! Linear algebra for MNA systems: a sparse fixed-order LU with reusable
+//! symbolic factorisation and a pivot threshold, dense partial-pivot LU as
+//! its fallback, and the [`SystemMatrix`] that starts every system sparse
+//! and counts sparse→dense demotions.
 
 mod dense;
 mod sparse;
@@ -9,10 +10,6 @@ pub use dense::DenseMatrix;
 pub use sparse::SparseMatrix;
 
 use crate::error::CircuitError;
-
-/// Unknown-count threshold above which assembly defaults to the sparse
-/// backend (dense LU is faster below it and unconditionally robust).
-pub const SPARSE_THRESHOLD: usize = 90;
 
 /// Backend storage behind a [`SystemMatrix`].
 ///
@@ -26,17 +23,34 @@ enum Backend {
     Sparse(SparseMatrix),
 }
 
-/// The MNA system matrix behind an analysis, dense or sparse.
+/// The MNA system matrix behind an analysis.
 ///
 /// Stamping code only needs [`SystemMatrix::add`] / [`SystemMatrix::clear`]
 /// / [`SystemMatrix::factor`] + [`SystemMatrix::substitute`] (or the
-/// combined [`SystemMatrix::solve_in_place`]); the backend is chosen once
-/// per analysis from the unknown count ([`SystemMatrix::auto`]). If the
-/// no-pivot sparse factorisation ever hits a bad pivot, the matrix is
-/// demoted to dense partial-pivot LU for that and all subsequent steps —
-/// correctness never depends on the sparse path. Demotions are counted
-/// here (surfaced through `RecoveryStats::dense_demotions`) and bump the
-/// *epoch*, which invalidates baseline snapshots and cached factors.
+/// combined [`SystemMatrix::solve_in_place`]). Every system starts on the
+/// sparse backend, whatever its size. If the fixed-order sparse
+/// factorisation meets a pivot it does not trust (non-finite, below
+/// `1e-300`, or below `1e-3` of its `U` row's largest entry), the matrix
+/// is demoted to dense partial-pivot LU for that and all subsequent
+/// steps, so correctness never rests on the fixed ordering. Demotions are
+/// counted here (surfaced through `RecoveryStats::dense_demotions`) and
+/// bump the *epoch*, which invalidates baseline snapshots and cached
+/// factors.
+///
+/// # Examples
+///
+/// ```
+/// use ftcam_circuit::linalg::SystemMatrix;
+///
+/// let mut m = SystemMatrix::new(2);
+/// m.add(0, 0, 2.0);
+/// m.add(1, 1, 4.0);
+/// let mut x = vec![2.0, 4.0];
+/// m.solve_in_place(&mut x)?;
+/// assert_eq!(x, vec![1.0, 1.0]);
+/// assert!(m.is_sparse());
+/// # Ok::<(), ftcam_circuit::CircuitError>(())
+/// ```
 #[derive(Debug, Clone)]
 pub struct SystemMatrix {
     backend: Backend,
@@ -48,26 +62,8 @@ pub struct SystemMatrix {
 }
 
 impl SystemMatrix {
-    /// Picks the backend appropriate for `n` unknowns.
-    pub fn auto(n: usize) -> Self {
-        if n >= SPARSE_THRESHOLD {
-            Self::sparse(n)
-        } else {
-            Self::dense(n)
-        }
-    }
-
-    /// Forces the dense backend (used by tests and the fallback path).
-    pub fn dense(n: usize) -> Self {
-        Self {
-            backend: Backend::Dense(DenseMatrix::zeros(n)),
-            epoch: 0,
-            demotions: 0,
-        }
-    }
-
-    /// Forces the sparse backend.
-    pub fn sparse(n: usize) -> Self {
+    /// Creates an `n × n` system on the sparse backend.
+    pub fn new(n: usize) -> Self {
         Self {
             backend: Backend::Sparse(SparseMatrix::zeros(n)),
             epoch: 0,
@@ -75,11 +71,14 @@ impl SystemMatrix {
         }
     }
 
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        match &self.backend {
-            Backend::Dense(m) => m.dim(),
-            Backend::Sparse(m) => m.dim(),
+    /// Replaces the sparse backend by a dense copy of its values, counting
+    /// the demotion and bumping the epoch. No-op on a dense backend.
+    fn demote(&mut self) {
+        if let Backend::Sparse(m) = &self.backend {
+            self.backend = Backend::Dense(m.to_dense());
+            self.epoch += 1;
+            self.demotions += 1;
+            crate::probe::record_global_demotion();
         }
     }
 
@@ -156,7 +155,7 @@ impl SystemMatrix {
 
     /// Factorises the current values, keeping them intact, and stores the
     /// factors for [`SystemMatrix::substitute`]. Falls back from sparse to
-    /// dense on a bad pivot (permanently — the demotion is counted, the
+    /// dense on an untrusted pivot (permanently — the demotion is counted, the
     /// epoch bumps, and the global recovery ledger is notified).
     ///
     /// # Errors
@@ -168,38 +167,26 @@ impl SystemMatrix {
         match &mut self.backend {
             Backend::Dense(m) => m.factor(),
             Backend::Sparse(m) => match m.factor() {
-                Ok(()) => Ok(()),
+                // Values are intact after a failed sparse factor; demote
+                // permanently to the robust dense path.
                 Err(CircuitError::SingularMatrix { .. }) => {
-                    // Values are intact after a failed sparse factor;
-                    // permanently demote to the robust dense path.
-                    let mut dense = m.to_dense();
-                    let result = dense.factor();
-                    self.backend = Backend::Dense(dense);
-                    self.epoch += 1;
-                    self.demotions += 1;
-                    crate::probe::record_global_demotion();
-                    result
+                    self.demote();
+                    self.factor()
                 }
-                Err(e) => Err(e),
+                other => other,
             },
         }
     }
 
     /// Test hook: demotes a sparse backend to dense exactly as a failed
     /// sparse factorisation would (values preserved, epoch bump, demotion
-    /// counted), without needing a matrix the no-pivot LU actually
+    /// counted), without needing a matrix the sparse LU actually
     /// rejects. Lets equivalence tests exercise the mid-run demotion path
     /// — baseline rebuild against the new slot scheme. No-op on a dense
     /// backend.
     #[cfg(test)]
     pub(crate) fn force_demote(&mut self) {
-        if let Backend::Sparse(m) = &mut self.backend {
-            let dense = m.to_dense();
-            self.backend = Backend::Dense(dense);
-            self.epoch += 1;
-            self.demotions += 1;
-            crate::probe::record_global_demotion();
-        }
+        self.demote();
     }
 
     /// Solves `A·x = b` against the *stored* factors, overwriting `b`.
@@ -226,7 +213,7 @@ impl SystemMatrix {
     }
 
     /// Factorises and solves `A·x = b` in place, falling back from sparse
-    /// to dense on a bad pivot (and staying dense afterwards). Values
+    /// to dense on an untrusted pivot (and staying dense afterwards). Values
     /// survive; the factorisation stays stored.
     ///
     /// # Errors
@@ -246,49 +233,89 @@ mod tests {
     use super::*;
 
     #[test]
-    fn auto_picks_by_size() {
-        assert!(!SystemMatrix::auto(10).is_sparse());
-        assert!(SystemMatrix::auto(SPARSE_THRESHOLD).is_sparse());
-    }
-
-    #[test]
-    fn sparse_falls_back_to_dense_on_bad_pivot() {
-        // A permutation matrix defeats no-pivot LU but is trivially
-        // solvable with partial pivoting.
-        let mut m = SystemMatrix::sparse(2);
+    fn every_size_starts_sparse_and_only_demotion_makes_it_dense() {
+        for n in [1usize, 2, 10, 89, 90, 400] {
+            let mut m = SystemMatrix::new(n);
+            assert!(m.is_sparse(), "n = {n}");
+            for i in 0..n {
+                m.add(i, i, 2.0);
+            }
+            let mut x = vec![1.0; n];
+            m.solve_in_place(&mut x).unwrap();
+            assert!(m.is_sparse(), "n = {n}: a trusted solve stays sparse");
+            assert_eq!(m.demotions(), 0);
+        }
+        // A permutation matrix has zero diagonals, which the fixed-order
+        // LU cannot pivot on; partial pivoting solves it.
+        let mut m = SystemMatrix::new(2);
         m.add(0, 1, 1.0);
         m.add(1, 0, 1.0);
+        let epoch = m.epoch();
         let mut x = vec![7.0, 9.0];
         m.solve_in_place(&mut x).expect("fallback solves");
-        assert!((x[0] - 9.0).abs() < 1e-12);
-        assert!((x[1] - 7.0).abs() < 1e-12);
+        assert_eq!(x, vec![9.0, 7.0]);
         assert!(!m.is_sparse(), "demoted to dense after fallback");
+        assert_eq!(m.demotions(), 1);
+        assert!(m.epoch() > epoch, "demotion bumps the epoch");
+        // Later factorisations stay dense and are not counted again.
+        m.solve_in_place(&mut x).unwrap();
         assert_eq!(m.demotions(), 1);
     }
 
     #[test]
-    fn dense_and_sparse_agree_through_the_dispatcher() {
-        let stamp = |m: &mut SystemMatrix| {
-            m.add(0, 0, 3.0);
-            m.add(1, 1, 4.0);
-            m.add(0, 1, -1.0);
-            m.add(1, 0, -2.0);
-        };
-        let mut d = SystemMatrix::dense(2);
-        let mut s = SystemMatrix::sparse(2);
-        stamp(&mut d);
-        stamp(&mut s);
-        let mut xd = vec![1.0, 2.0];
-        let mut xs = vec![1.0, 2.0];
-        d.solve_in_place(&mut xd).unwrap();
-        s.solve_in_place(&mut xs).unwrap();
-        assert!((xd[0] - xs[0]).abs() < 1e-12);
-        assert!((xd[1] - xs[1]).abs() < 1e-12);
+    fn tiny_relative_pivot_demotes_to_partial_pivoting() {
+        // MNA-like: node 0 is a cut-off drain (0.1 pS to ground) whose row
+        // carries a 100 µS transconductance from gate node 1, and node 0
+        // in turn gates a transistor draining node 2; nodes 1–3 form a
+        // resistive ladder. Degree ordering eliminates node 0 first, so
+        // the fixed ordering meets a pivot of 1e-9 relative to its row.
+        let a = [
+            [1e-13, 1e-4, 0.0, 0.0],
+            [0.0, 1.1e-3, -1e-3, 0.0],
+            [1e-4, -1e-3, 2e-3, -1e-3],
+            [0.0, 0.0, -1e-3, 2e-3],
+        ];
+        let b = [1e-4, 2e-4, -3e-4, 1e-4];
+        let mut m = SystemMatrix::new(4);
+        let mut dense = DenseMatrix::zeros(4);
+        for (r, row) in a.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                if v != 0.0 {
+                    m.add(r, c, v);
+                    dense.add(r, c, v);
+                }
+            }
+        }
+        let mut x = b.to_vec();
+        m.solve_in_place(&mut x).unwrap();
+        // Normwise backward error against the bound partial pivoting
+        // meets on a well-scaled system: ‖b − A·x‖∞ ≤ 8·n·ε·(‖A‖∞‖x‖∞ + ‖b‖∞).
+        let inf = |v: &[f64]| v.iter().fold(0.0f64, |m, e| m.max(e.abs()));
+        let a_inf = a
+            .iter()
+            .map(|r| r.iter().map(|v| v.abs()).sum::<f64>())
+            .fold(0.0, f64::max);
+        let residual: Vec<f64> = a
+            .iter()
+            .zip(&b)
+            .map(|(row, bi)| bi - row.iter().zip(&x).map(|(aij, xj)| aij * xj).sum::<f64>())
+            .collect();
+        let bound = 8.0 * 4.0 * f64::EPSILON * (a_inf * inf(&x) + inf(&b));
+        assert!(
+            inf(&residual) <= bound,
+            "backward error {:e} above {bound:e}",
+            inf(&residual)
+        );
+        assert_eq!(m.demotions(), 1, "the 1e-9 pivot must be refused");
+        assert!(!m.is_sparse());
+        let mut x_dense = b.to_vec();
+        dense.solve_in_place(&mut x_dense).unwrap();
+        assert_eq!(x, x_dense, "the demoted solve is partial pivoting");
     }
 
     #[test]
     fn baseline_snapshot_restore_round_trips() {
-        let mut m = SystemMatrix::sparse(3);
+        let mut m = SystemMatrix::new(3);
         m.add(0, 0, 1.0);
         m.add(1, 1, 2.0);
         let baseline = m.values().to_vec();
@@ -300,7 +327,7 @@ mod tests {
 
     #[test]
     fn substitute_reuses_factors_across_restamps() {
-        let mut m = SystemMatrix::dense(2);
+        let mut m = SystemMatrix::new(2);
         m.add(0, 0, 2.0);
         m.add(1, 1, 4.0);
         m.factor().unwrap();

@@ -7,7 +7,9 @@
 //!   exact terminal current flowing out of every node. Pinned-source nodes
 //!   then directly yield the current each ideal source delivers, which feeds
 //!   the energy meter; free nodes must sum to ≈ 0 (KCL), which doubles as an
-//!   internal consistency check.
+//!   internal consistency check. Devices also report the power they
+//!   dissipate at the converged point ([`StampCtx::dissipate`]), which
+//!   feeds the per-device energy report.
 
 use serde::{Deserialize, Serialize};
 
@@ -55,14 +57,20 @@ impl VarMap {
     }
 }
 
-/// Voltage of `node` given the unknown map, candidate `x` and pinned values.
+/// Voltage of a node of kind `kind`, given candidate `x` and pinned values.
 #[inline]
-fn node_v(vars: &VarMap, x: &[f64], pinned: &[f64], node: NodeId) -> f64 {
-    match vars.kinds[node.index()] {
+fn kind_v(kind: VarKind, x: &[f64], pinned: &[f64]) -> f64 {
+    match kind {
         VarKind::Ground => 0.0,
         VarKind::Pinned(p) => pinned[p],
         VarKind::Free(col) => x[col],
     }
+}
+
+/// Voltage of `node` given the unknown map, candidate `x` and pinned values.
+#[inline]
+fn node_v(vars: &VarMap, x: &[f64], pinned: &[f64], node: NodeId) -> f64 {
+    kind_v(vars.kinds[node.index()], x, pinned)
 }
 
 pub(crate) enum StampMode<'a> {
@@ -74,6 +82,8 @@ pub(crate) enum StampMode<'a> {
         /// Net current flowing out of each node into devices, indexed by
         /// node index (length = node count).
         current_out: &'a mut [f64],
+        /// Dissipated power per device, indexed by device index.
+        power: &'a mut [f64],
     },
 }
 
@@ -92,6 +102,8 @@ pub struct StampCtx<'a> {
     /// `None` during DC analysis.
     pub(crate) dt: Option<f64>,
     pub(crate) method: IntegrationMethod,
+    /// Index of the device being stamped (measure mode books its power).
+    pub(crate) device: usize,
 }
 
 impl<'a> StampCtx<'a> {
@@ -127,72 +139,73 @@ impl<'a> StampCtx<'a> {
         self.method
     }
 
-    /// Stamps a conductance `g` between `a` and `b` (current `g·(v_a − v_b)`
-    /// flows from `a` to `b` through the device).
-    pub fn stamp_conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
-        self.stamp_transconductance(a, b, a, b, g);
-    }
-
-    /// Stamps a transconductance: current `g·(v_cp − v_cm)` flows from
-    /// `out_from` to `out_to` through the device.
-    pub fn stamp_transconductance(
+    /// Stamps an element-local block over the `N` terminals `nodes`.
+    ///
+    /// `block` receives the candidate terminal voltages and returns the
+    /// linearisation `(g, i)`: the current flowing out of terminal `k`
+    /// into the device is `i[k] + Σ_j g[k][j]·v[j]`. Each terminal is
+    /// resolved to its unknown once; assembly then adds `g[k][j]` at
+    /// (row `k`, column `j`) for free terminals, moves pinned columns to
+    /// the right-hand side with `i`, and drops ground. Terminals may
+    /// coincide (a diode-connected transistor): their rows and columns
+    /// simply accumulate. Every entry of `g` is stamped, zero or not, so
+    /// the matrix structure does not depend on the operating point.
+    pub fn stamp_local<const N: usize>(
         &mut self,
-        out_from: NodeId,
-        out_to: NodeId,
-        ctrl_plus: NodeId,
-        ctrl_minus: NodeId,
-        g: f64,
+        nodes: [NodeId; N],
+        block: impl FnOnce([f64; N]) -> ([[f64; N]; N], [f64; N]),
     ) {
-        let vars = self.vars;
-        let (x, pinned) = (self.x, self.pinned);
+        let kinds = nodes.map(|n| self.vars.kinds[n.index()]);
+        let v = kinds.map(|k| kind_v(k, self.x, self.pinned));
+        let (g, i) = block(v);
         match &mut self.mode {
-            StampMode::Measure { current_out } => {
-                let vc = node_v(vars, x, pinned, ctrl_plus) - node_v(vars, x, pinned, ctrl_minus);
-                let i = g * vc;
-                current_out[out_from.index()] += i;
-                current_out[out_to.index()] -= i;
+            StampMode::Measure { current_out, .. } => {
+                for k in 0..N {
+                    let out = g[k]
+                        .iter()
+                        .zip(&v)
+                        .fold(i[k], |acc, (gk, vj)| acc + gk * vj);
+                    current_out[nodes[k].index()] += out;
+                }
             }
             StampMode::Assemble { matrix, rhs } => {
-                // Row contributions: F[out_from] += g·(v_cp − v_cm);
-                //                    F[out_to]   −= g·(v_cp − v_cm).
-                let rows = [(out_from, 1.0), (out_to, -1.0)];
-                let ctrls = [(ctrl_plus, 1.0), (ctrl_minus, -1.0)];
-                for (rn, rs) in rows {
-                    let row = match vars.kinds[rn.index()] {
-                        VarKind::Free(col) => col,
-                        _ => continue,
+                for k in 0..N {
+                    let VarKind::Free(row) = kinds[k] else {
+                        continue;
                     };
-                    for (cn, cs) in ctrls {
-                        let coeff = rs * cs * g;
-                        match vars.kinds[cn.index()] {
-                            VarKind::Free(col) => matrix.add(row, col, coeff),
+                    let mut z = -i[k];
+                    for j in 0..N {
+                        match kinds[j] {
+                            VarKind::Free(col) => matrix.add(row, col, g[k][j]),
                             VarKind::Ground => {}
-                            VarKind::Pinned(p) => rhs[row] -= coeff * pinned[p],
+                            VarKind::Pinned(p) => z -= g[k][j] * self.pinned[p],
                         }
                     }
+                    rhs[row] += z;
                 }
             }
         }
+    }
+
+    /// Reports the power (watts) this device dissipates at the candidate
+    /// point. Counted in measure mode, which runs once per accepted step at
+    /// the converged solution; ignored during assembly.
+    pub fn dissipate(&mut self, watts: f64) {
+        if let StampMode::Measure { power, .. } = &mut self.mode {
+            power[self.device] += watts;
+        }
+    }
+
+    /// Stamps a conductance `g` between `a` and `b` (current `g·(v_a − v_b)`
+    /// flows from `a` to `b` through the device).
+    pub fn stamp_conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
+        self.stamp_local([a, b], |_| ([[g, -g], [-g, g]], [0.0; 2]));
     }
 
     /// Stamps an independent current `i` flowing from `from` to `to` through
     /// the device (the Norton/companion-model source term).
     pub fn stamp_current(&mut self, from: NodeId, to: NodeId, i: f64) {
-        let vars = self.vars;
-        match &mut self.mode {
-            StampMode::Measure { current_out } => {
-                current_out[from.index()] += i;
-                current_out[to.index()] -= i;
-            }
-            StampMode::Assemble { rhs, .. } => {
-                if let VarKind::Free(row) = vars.kinds[from.index()] {
-                    rhs[row] -= i;
-                }
-                if let VarKind::Free(row) = vars.kinds[to.index()] {
-                    rhs[row] += i;
-                }
-            }
-        }
+        self.stamp_local([from, to], |_| ([[0.0; 2]; 2], [i, -i]));
     }
 
     /// Stamps an ideal voltage source of value `v` between `plus` and
@@ -202,7 +215,7 @@ impl<'a> StampCtx<'a> {
         let (x, pinned) = (self.x, self.pinned);
         let bcol = vars.branch_col(branch);
         match &mut self.mode {
-            StampMode::Measure { current_out } => {
+            StampMode::Measure { current_out, .. } => {
                 let i = x[bcol];
                 current_out[plus.index()] += i;
                 current_out[minus.index()] -= i;

@@ -24,9 +24,9 @@
 use ftcam_circuit::{CommitCtx, Device, NodeId, StampClass, StampCtx};
 use serde::{Deserialize, Serialize};
 
-use crate::caps::CapState;
+use crate::caps::{GateStack, D, G, S};
 use crate::ferro::{FerroParams, Polarization};
-use crate::mosfet::{Mosfet, MosfetParams, Polarity};
+use crate::mosfet::{channel_block, MosfetParams};
 
 /// FeFET card parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,10 +97,7 @@ pub struct FeFet {
     gate: NodeId,
     source: NodeId,
     polarization: Polarization,
-    cgs: CapState,
-    cgd: CapState,
-    cdb: CapState,
-    csb: CapState,
+    caps: GateStack,
     /// Ferroelectric switching charge from the last committed step
     /// (coulombs, gate → source), injected during the next step as a
     /// current `q / dt`. Dividing by the *live* step's `dt` at stamp time
@@ -117,20 +114,14 @@ pub struct FeFet {
 impl FeFet {
     /// Creates a FeFET with the given card and terminals, at `p = 0`.
     pub fn new(params: FeFetParams, drain: NodeId, gate: NodeId, source: NodeId) -> Self {
-        let cgs = CapState::new(params.mosfet.cgs());
-        let cgd = CapState::new(params.mosfet.cgs());
-        let cdb = CapState::new(params.mosfet.cjunction());
-        let csb = CapState::new(params.mosfet.cjunction());
+        let caps = GateStack::new(params.mosfet.cgs(), params.mosfet.cjunction());
         Self {
             params,
             drain,
             gate,
             source,
             polarization: Polarization::default(),
-            cgs,
-            cgd,
-            cdb,
-            csb,
+            caps,
             q_fe_lag: 0.0,
             switching_energy: 0.0,
             dt_hint: None,
@@ -181,13 +172,7 @@ impl FeFet {
 
     /// Drain current at explicit terminal voltages with the current state.
     pub fn drain_current(&self, vg: f64, vd: f64, vs: f64) -> f64 {
-        let p = self.effective_mosfet();
-        let (sign, vgs, vds) = match p.polarity {
-            Polarity::Nmos => (1.0, vg - vs, vd - vs),
-            Polarity::Pmos => (-1.0, vs - vg, vs - vd),
-        };
-        let (i, _, _) = Mosfet::channel_currents(&p, vgs, vds);
-        sign * i
+        channel_block(&self.effective_mosfet(), [vd, vg, vs]).2
     }
 }
 
@@ -208,42 +193,26 @@ impl Device for FeFet {
     }
 
     fn stamp(&self, ctx: &mut StampCtx<'_>) {
-        // Channel with polarization-shifted threshold.
+        let (dt, method) = (ctx.dt(), ctx.method());
         let p = self.effective_mosfet();
-        let vg = ctx.v(self.gate);
-        let vd = ctx.v(self.drain);
-        let vs = ctx.v(self.source);
-        let (vgs_eq, vds_eq) = match p.polarity {
-            Polarity::Nmos => (vg - vs, vd - vs),
-            Polarity::Pmos => (vs - vg, vs - vd),
-        };
-        let (i_eqv, gm, gds) = Mosfet::channel_currents(&p, vgs_eq, vds_eq);
-        let i_ds = match p.polarity {
-            Polarity::Nmos => i_eqv,
-            Polarity::Pmos => -i_eqv,
-        };
-        let ieq = i_ds - gm * (vg - vs) - gds * (vd - vs);
-        ctx.stamp_transconductance(self.drain, self.source, self.gate, self.source, gm);
-        ctx.stamp_conductance(self.drain, self.source, gds);
-        ctx.stamp_current(self.drain, self.source, ieq);
-        // Gate stack capacitances.
-        self.cgs.stamp(ctx, self.gate, self.source);
-        self.cgd.stamp(ctx, self.gate, self.drain);
-        self.cdb.stamp(ctx, self.drain, NodeId::GROUND);
-        self.csb.stamp(ctx, self.source, NodeId::GROUND);
-        // Lagged ferroelectric displacement current (gate → source).
-        if !ctx.is_dc() && self.q_fe_lag != 0.0 {
-            if let Some(dt) = ctx.dt() {
-                ctx.stamp_current(self.gate, self.source, self.q_fe_lag / dt);
+        let mut power = 0.0;
+        ctx.stamp_local([self.drain, self.gate, self.source], |v| {
+            // Channel with polarization-shifted threshold.
+            let (mut g, mut i, i_ds) = channel_block(&p, v);
+            self.caps.stamp_into(dt, method, &mut g, &mut i);
+            // Lagged ferroelectric displacement current (gate → source).
+            if let Some(dt) = dt {
+                i[G] += self.q_fe_lag / dt;
+                i[S] -= self.q_fe_lag / dt;
             }
-        }
+            power = i_ds * (v[D] - v[S]);
+            (g, i)
+        });
+        ctx.dissipate(power);
     }
 
     fn commit(&mut self, ctx: &CommitCtx<'_>) {
-        self.cgs.commit(ctx, self.gate, self.source);
-        self.cgd.commit(ctx, self.gate, self.drain);
-        self.cdb.commit(ctx, self.drain, NodeId::GROUND);
-        self.csb.commit(ctx, self.source, NodeId::GROUND);
+        self.caps.commit(ctx, [self.drain, self.gate, self.source]);
         if let Some(dt) = ctx.dt() {
             let vgs = ctx.v(self.gate) - ctx.v(self.source);
             let v_fe = self.params.fe_coupling * vgs;
@@ -276,10 +245,7 @@ impl Device for FeFet {
     }
 
     fn init(&mut self, ctx: &CommitCtx<'_>, _uic: bool) {
-        self.cgs.init(ctx, self.gate, self.source);
-        self.cgd.init(ctx, self.gate, self.drain);
-        self.cdb.init(ctx, self.drain, NodeId::GROUND);
-        self.csb.init(ctx, self.source, NodeId::GROUND);
+        self.caps.init(ctx, [self.drain, self.gate, self.source]);
         self.q_fe_lag = 0.0;
         self.dt_hint = None;
     }
@@ -292,14 +258,6 @@ impl Device for FeFet {
     // restamp every Newton iteration.
     fn stamp_class(&self) -> StampClass {
         StampClass::Dynamic
-    }
-
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let vg = ctx.v(self.gate);
-        let vd = ctx.v(self.drain);
-        let vs = ctx.v(self.source);
-        let i = self.drain_current(vg, vd, vs);
-        Some(i * (vd - vs))
     }
 }
 

@@ -17,7 +17,7 @@
 use ftcam_circuit::{CommitCtx, Device, NodeId, StampClass, StampCtx};
 use serde::{Deserialize, Serialize};
 
-use crate::caps::CapState;
+use crate::caps::{GateStack, D, S};
 
 /// Channel polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,28 +115,19 @@ pub struct Mosfet {
     drain: NodeId,
     gate: NodeId,
     source: NodeId,
-    cgs: CapState,
-    cgd: CapState,
-    cdb: CapState,
-    csb: CapState,
+    caps: GateStack,
 }
 
 impl Mosfet {
     /// Creates a MOSFET with the given card and terminals.
     pub fn new(params: MosfetParams, drain: NodeId, gate: NodeId, source: NodeId) -> Self {
-        let cgs = CapState::new(params.cgs());
-        let cgd = CapState::new(params.cgs());
-        let cdb = CapState::new(params.cjunction());
-        let csb = CapState::new(params.cjunction());
+        let caps = GateStack::new(params.cgs(), params.cjunction());
         Self {
             params,
             drain,
             gate,
             source,
-            cgs,
-            cgd,
-            cdb,
-            csb,
+            caps,
         }
     }
 
@@ -176,41 +167,30 @@ impl Mosfet {
     /// Drain current of this device at explicit terminal voltages
     /// (positive current flows drain → source for NMOS conduction).
     pub fn drain_current(&self, vg: f64, vd: f64, vs: f64) -> f64 {
-        let (sign, vgs, vds) = match self.params.polarity {
-            Polarity::Nmos => (1.0, vg - vs, vd - vs),
-            Polarity::Pmos => (-1.0, vs - vg, vs - vd),
-        };
-        let (i, _, _) = Self::channel_currents(&self.params, vgs, vds);
-        sign * i
+        channel_block(&self.params, [vd, vg, vs]).2
     }
+}
 
-    fn stamp_channel(&self, ctx: &mut StampCtx<'_>) {
-        let vg = ctx.v(self.gate);
-        let vd = ctx.v(self.drain);
-        let vs = ctx.v(self.source);
-        let (vgs_eq, vds_eq) = match self.params.polarity {
-            Polarity::Nmos => (vg - vs, vd - vs),
-            Polarity::Pmos => (vs - vg, vs - vd),
-        };
-        let (i_eqv, gm, gds) = Self::channel_currents(&self.params, vgs_eq, vds_eq);
-        // Map back to actual terminals. For both polarities the linearised
-        // current from drain to source is:
-        //   I_ds ≈ I* + gm·Δ(vg−vs)·s... — working through the chain rule,
-        // the conductances stay positive and stamp identically; only the
-        // equivalent current source keeps the polarity sign.
-        let (i_ds, vgs_act, vds_act) = match self.params.polarity {
-            Polarity::Nmos => (i_eqv, vg - vs, vd - vs),
-            Polarity::Pmos => (-i_eqv, vg - vs, vd - vs),
-        };
-        // For PMOS: I_ds = −I_n(vs−vg, vs−vd); ∂I_ds/∂vg = −∂I_n/∂vgs·(−1) = gm.
-        // Likewise ∂I_ds/∂vd = gds. So gm/gds stamp the same way.
-        let ieq = i_ds - gm * vgs_act - gds * vds_act;
-        ctx.stamp_transconductance(self.drain, self.source, self.gate, self.source, gm);
-        ctx.stamp_conductance(self.drain, self.source, gds);
-        // The conductance primitive already models gds·(vd − vs); the
-        // transconductance models gm·(vg − vs); the residual is a constant.
-        ctx.stamp_current(self.drain, self.source, ieq);
-    }
+/// The channel linearised at terminal voltages `[vd, vg, vs]`, as an
+/// element-local `(drain, gate, source)` block `(g, i)` (see
+/// [`StampCtx::stamp_local`]), plus the drain → source current itself.
+pub(crate) fn channel_block(
+    p: &MosfetParams,
+    [vd, vg, vs]: [f64; 3],
+) -> ([[f64; 3]; 3], [f64; 3], f64) {
+    let (sign, vgs, vds) = match p.polarity {
+        Polarity::Nmos => (1.0, vg - vs, vd - vs),
+        Polarity::Pmos => (-1.0, vs - vg, vs - vd),
+    };
+    let (i_eqv, gm, gds) = Mosfet::channel_currents(p, vgs, vds);
+    let i_ds = sign * i_eqv;
+    // For PMOS, I_ds = −I_n(vs − vg, vs − vd), so ∂I_ds/∂vg = gm and
+    // ∂I_ds/∂vd = gds: the conductances stamp the same for both
+    // polarities and only the equivalent source keeps the sign.
+    let ieq = i_ds - gm * (vg - vs) - gds * (vd - vs);
+    let gs = -(gm + gds);
+    let g = [[gds, gm, gs], [0.0; 3], [-gds, -gm, -gs]];
+    (g, [ieq, 0.0, -ieq], i_ds)
 }
 
 impl Device for Mosfet {
@@ -234,25 +214,23 @@ impl Device for Mosfet {
     }
 
     fn stamp(&self, ctx: &mut StampCtx<'_>) {
-        self.stamp_channel(ctx);
-        self.cgs.stamp(ctx, self.gate, self.source);
-        self.cgd.stamp(ctx, self.gate, self.drain);
-        self.cdb.stamp(ctx, self.drain, NodeId::GROUND);
-        self.csb.stamp(ctx, self.source, NodeId::GROUND);
+        let (dt, method) = (ctx.dt(), ctx.method());
+        let mut power = 0.0;
+        ctx.stamp_local([self.drain, self.gate, self.source], |v| {
+            let (mut g, mut i, i_ds) = channel_block(&self.params, v);
+            self.caps.stamp_into(dt, method, &mut g, &mut i);
+            power = i_ds * (v[D] - v[S]);
+            (g, i)
+        });
+        ctx.dissipate(power);
     }
 
     fn commit(&mut self, ctx: &CommitCtx<'_>) {
-        self.cgs.commit(ctx, self.gate, self.source);
-        self.cgd.commit(ctx, self.gate, self.drain);
-        self.cdb.commit(ctx, self.drain, NodeId::GROUND);
-        self.csb.commit(ctx, self.source, NodeId::GROUND);
+        self.caps.commit(ctx, [self.drain, self.gate, self.source]);
     }
 
     fn init(&mut self, ctx: &CommitCtx<'_>, _uic: bool) {
-        self.cgs.init(ctx, self.gate, self.source);
-        self.cgd.init(ctx, self.gate, self.drain);
-        self.cdb.init(ctx, self.drain, NodeId::GROUND);
-        self.csb.init(ctx, self.source, NodeId::GROUND);
+        self.caps.init(ctx, [self.drain, self.gate, self.source]);
     }
 
     fn is_nonlinear(&self) -> bool {
@@ -263,14 +241,6 @@ impl Device for Mosfet {
     // restamp every Newton iteration.
     fn stamp_class(&self) -> StampClass {
         StampClass::Dynamic
-    }
-
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let vg = ctx.v(self.gate);
-        let vd = ctx.v(self.drain);
-        let vs = ctx.v(self.source);
-        let i = self.drain_current(vg, vd, vs);
-        Some(i * (vd - vs))
     }
 }
 

@@ -1,6 +1,6 @@
 //! Bistable resistive memory element for the 2T-2R TCAM baseline.
 
-use ftcam_circuit::{CommitCtx, Device, NodeId, StampClass, StampCtx};
+use ftcam_circuit::{Device, NodeId, StampClass, StampCtx};
 use serde::{Deserialize, Serialize};
 
 /// Programmed state of a [`Reram`] cell.
@@ -105,7 +105,10 @@ impl Device for Reram {
     }
 
     fn stamp(&self, ctx: &mut StampCtx<'_>) {
-        ctx.stamp_conductance(self.a, self.b, 1.0 / self.resistance());
+        let g = 1.0 / self.resistance();
+        ctx.stamp_conductance(self.a, self.b, g);
+        let v = ctx.v(self.a) - ctx.v(self.b);
+        ctx.dissipate(g * v * v);
     }
 
     // The stored state only changes through the explicit write API
@@ -113,11 +116,6 @@ impl Device for Reram {
     // duration of any transient.
     fn stamp_class(&self) -> StampClass {
         StampClass::Linear
-    }
-
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let v = ctx.v(self.a) - ctx.v(self.b);
-        Some(v * v / self.resistance())
     }
 }
 
